@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .analysis import arch_complexity
-from .errors import check_scale
+from .errors import TableFormatError, check_scale
 from .formulas import ceil_in, compositions, dm_n_2
 from .table import AdditionTable, from_entries, validate
 
@@ -109,13 +109,31 @@ class Complexity2Spec:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "Complexity2Spec":
-        comp = tuple(obj["composition"])
+    def from_json_dict(cls, obj: object) -> "Complexity2Spec":
+        """Spec from its JSON object; TableFormatError on a schema mismatch.
+
+        "chains" may be omitted only when there is a single class.
+        """
+        if not isinstance(obj, dict):
+            raise TableFormatError("complexity-2 spec must be a JSON object")
+        comp = obj.get("composition")
+        if not isinstance(comp, list) or not all(type(p) is int and p >= 1 for p in comp):
+            raise TableFormatError('"composition" must be a list of positive integers')
         raw = obj.get("chains", {})
-        chains = tuple(
-            tuple(tuple(f) for f in raw[str(j)]) for j in range(2, len(comp) + 1)
-        )
-        return cls(comp, chains)
+        keys = [str(j) for j in range(2, len(comp) + 1)]
+        if not isinstance(raw, dict) or set(raw) != set(keys):
+            raise TableFormatError(
+                f'"chains" must be an object with exactly the keys {keys}'
+            )
+        for key in keys:
+            family = raw[key]
+            if not isinstance(family, list) or not all(
+                isinstance(f, list) and all(type(x) is int for x in f) for f in family
+            ):
+                raise TableFormatError(
+                    f'"chains" entry {key!r} must be a list of lists of integers'
+                )
+        return cls(tuple(comp), tuple(tuple(tuple(f) for f in raw[k]) for k in keys))
 
     @classmethod
     def from_json(cls, text: str) -> "Complexity2Spec":

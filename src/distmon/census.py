@@ -1,10 +1,17 @@
-"""Exhaustive census of distance magmas and monoids by pruned backtracking.
+"""Exhaustive census of distance monoids by pruned backtracking, and exact
+magma counts by a row-transfer DP.
 
 Tables are generated by filling the upper-triangle cells (1,1), (1,2), ...,
 (1,n), (2,2), ..., (n,n) in row-major order.  Cell (i, j) ranges over
 [max(j, left neighbor, upper neighbor), n], which builds positivity and
 monotonicity (and, with the mirrored write, symmetry) into the tree itself:
 the magma tree has exactly one leaf per magma.
+
+Magmas are counted without visiting those leaves: the number of ways to
+complete rows i..n depends only on row i-1's cells at columns i..n, so
+count_magmas() carries a count per such row profile from row to row.  The
+leaf walk (_magma_subtree) runs only to emit magma tables, and serves as
+the DP's test oracle.
 
 For monoids, associativity is checked incrementally.  When cell (b, c) is
 fixed, every triple (a, b, c) with a <= b has all three of its inner cells
@@ -93,6 +100,42 @@ def _lower_bound(T: list[int], N1: int, i: int, j: int) -> int:
     if up > lo:
         lo = up
     return lo
+
+
+def count_magmas(n: int) -> int:
+    """Number of distance magmas on n nonzero elements, exactly.
+
+    Row i of a magma table is monotone, bounded below cell by cell by row
+    i-1 (so T[i][j] >= T[0][j] = j), and starts at T[i][i] >= T[i][i-1]
+    = T[i-1][i].  So the layer after row i-1 maps each profile
+    (T[i-1][i], ..., T[i-1][n]) to the number of partial tables that end
+    in it, and that profile is all rows i..n depend on.  Row i is built
+    one cell at a time: at column position c, key[:c] already holds row
+    i's cells and key[c:] still holds row i-1's, so cell c ranges over
+    [max(key[c-1], key[c]), n] (just [key[0], n] for the diagonal).
+    """
+    if n < 1:
+        raise ValueError("count_magmas requires n >= 1")
+    layer = {tuple(range(1, n + 1)): 1}  # row 0 is the identity row
+    for i in range(1, n + 1):
+        for c in range(n - i + 1):
+            nxt: dict[tuple[int, ...], int] = {}
+            for key, count in layer.items():
+                lo = key[c]
+                if c and key[c - 1] > lo:
+                    lo = key[c - 1]
+                head = key[:c]
+                tail = key[c + 1 :]
+                for val in range(lo, n + 1):
+                    k2 = head + (val,) + tail
+                    nxt[k2] = nxt.get(k2, 0) + count
+            layer = nxt
+        # row i's diagonal cell constrains no later row
+        merged: dict[tuple[int, ...], int] = {}
+        for key, count in layer.items():
+            merged[key[1:]] = merged.get(key[1:], 0) + count
+        layer = merged
+    return layer[()]
 
 
 def _monoid_subtree(
@@ -279,27 +322,25 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     return out
 
 
-def _run_prefix(args: tuple) -> tuple[dict[int, int], list, int | None, list]:
-    """Worker entry point: run both passes for one prefix."""
+def _run_prefix(args: tuple) -> tuple[dict[int, int], list[AdditionTable]]:
+    """Worker entry point: the monoid pass for one prefix, plus the magma
+    walk when magma tables are to be emitted."""
     n, prefix, want_magmas, arch_filter, emit = args
-    by_arch, monoid_emitted = _monoid_subtree(
-        n, prefix, emit and not want_magmas, arch_filter
-    )
-    magma_count = None
-    magma_emitted: list[AdditionTable] = []
-    if want_magmas:
-        magma_count, magma_emitted = _magma_subtree(n, prefix, emit)
-    return by_arch, monoid_emitted, magma_count, magma_emitted
+    by_arch, emitted = _monoid_subtree(n, prefix, emit and not want_magmas, arch_filter)
+    if want_magmas and emit:
+        emitted = _magma_subtree(n, prefix, True)[1]
+    return by_arch, emitted
 
 
 def enumerate_tables(config: SearchConfig) -> CensusResult:
     """Run the census described by `config`.
 
     Monoid statistics (monoid_count, by_arch) are always computed via the
-    pruned search.  magma_count is computed only when want_magmas is set
-    (full tree walk).  Emission collects magmas when want_magmas, else
-    monoids, restricted by arch_filter when given.  Results are independent
-    of job_count and prefix_depth.
+    pruned search.  magma_count is computed only when want_magmas is set,
+    by count_magmas() in this process.  Emission collects magmas when
+    want_magmas (by walking every magma), else monoids, restricted by
+    arch_filter when given.  Results are independent of job_count and
+    prefix_depth.
     """
     n = config.n
     check_scale("monoid census n", n, MONOID_GUARD, config.scale_override)
@@ -325,20 +366,15 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
 
     by_arch: dict[int, int] = {}
     emitted: list[AdditionTable] = []
-    magma_count = 0 if config.want_magmas else None
-    for part_arch, part_monoids, part_magma_count, part_magmas in parts:
+    for part_arch, part_emitted in parts:
         for k, v in part_arch.items():
             by_arch[k] = by_arch.get(k, 0) + v
-        if config.want_magmas:
-            magma_count += part_magma_count
-            emitted.extend(part_magmas)
-        else:
-            emitted.extend(part_monoids)
+        emitted.extend(part_emitted)
 
     by_arch = dict(sorted(by_arch.items()))
     return CensusResult(
         n=n,
-        magma_count=magma_count,
+        magma_count=count_magmas(n) if config.want_magmas else None,
         monoid_count=sum(by_arch.values()),
         by_arch=by_arch,
         emitted=tuple(emitted) if config.emit else None,

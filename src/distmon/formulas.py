@@ -37,17 +37,23 @@ def dm_n_2(n: int) -> BigCount:
     Sum over compositions (n1, ..., nk) of n with k <= n-1 parts of the
     product over classes j of j^(nj - 1): class j's additions into later
     classes are ceiling maps forming a (j-1)-chain, giving j^(nj-1) choices.
+
+    The sum is evaluated in O(n^2) steps rather than over all 2^(n-1)
+    compositions.  weight[s] is the sum of the products over compositions
+    of s into exactly j parts; taking one element off the last class
+    either empties it (a composition of s-1 into j-1 parts) or removes one
+    factor of j from its j^(nj-1).
     """
     if n < 2:
         raise ValueError("dm_n_2 requires n >= 2")
+    weight = [1] + [0] * n  # j = 0 classes: only the empty composition
     total = 0
-    for parts in compositions(n):
-        if len(parts) > n - 1:
-            continue
-        prod = 1
-        for j, size in enumerate(parts, start=1):
-            prod *= j ** (size - 1)
-        total += prod
+    for j in range(1, n):
+        nxt = [0] * (n + 1)
+        for s in range(1, n + 1):
+            nxt[s] = weight[s - 1] + j * nxt[s - 1]
+        weight = nxt
+        total += weight[n]
     return total
 
 

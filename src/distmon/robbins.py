@@ -2,7 +2,9 @@
 
 The count of distance magmas with n nonzero elements equals the number of
 n x n alternating sign matrices (equivalently, of Magog triangles of order
-n).  The audit compares census output against the constants below.
+n; Mills-Robbins-Rumsey 1983, Zeilberger 1996).  The census computes its
+magma counts with a row-transfer DP (census.count_magmas), and the audit
+compares them against the constants below.
 
 Provenance: ROBBINS_NUMBERS holds literal values of the classical product
 formula
@@ -12,7 +14,8 @@ formula
 (the alternating-sign-matrix counting sequence 1, 2, 7, 42, 429, 7436,
 218348, ...).  They are stored as literals so the audit's expectations are
 inspectable data, and robbins_number() recomputes the product exactly so a
-unit test can confirm the literals from an independent path.
+unit test can confirm the literals, and the DP, from an independent path
+for every n stored here.
 """
 
 from __future__ import annotations

@@ -5,13 +5,17 @@ import pytest
 from distmon.analysis import arch_complexity
 from distmon.census import (
     SearchConfig,
+    _magma_subtree,
+    count_magmas,
     dm_table,
     dm_table_csv,
     enumerate_tables,
     partition_work,
 )
+from distmon.cli import main
 from distmon.errors import ScaleGuardError
 from distmon.formulas import dm_n_2, lower_bound
+from distmon.robbins import ROBBINS_NUMBERS, robbins_number
 
 MAGMA_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
 MONOID_BY_ARCH = {
@@ -97,6 +101,38 @@ class TestEnumerate:
             SearchConfig(n=3, want_magmas=True, arch_filter=2)
         with pytest.raises(ValueError):
             SearchConfig(n=3, prefix_depth=7)
+
+
+class TestCountMagmas:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dp_equals_emitted_walk(self, census_cache, n):
+        result = census_cache(n, want_magmas=True)
+        assert count_magmas(n) == result.magma_count == len(result.emitted)
+
+    def test_dp_equals_walk_n7(self):
+        # counted, not emitted: 218348 tables would hold hundreds of MB
+        assert count_magmas(7) == _magma_subtree(7, (), False)[0]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dp_equals_product_formula(self, n):
+        assert count_magmas(n) == robbins_number(n) == ROBBINS_NUMBERS[n]
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            count_magmas(0)
+
+    def test_cli_json_independent_of_partitioning(self, capsys):
+        outputs = []
+        for argv in (
+            ["--jobs", "1"],
+            ["--jobs", "2", "--prefix-depth", "0"],
+            ["--jobs", "2", "--prefix-depth", "2"],
+            ["--jobs", "2", "--prefix-depth", "3"],
+        ):
+            assert main(["census", "--n", "6", "--magmas", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.loads(outputs[0])["magma_count"] == "7436"
+        assert outputs == [outputs[0]] * len(outputs)
 
 
 class TestPartitioning:

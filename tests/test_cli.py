@@ -195,6 +195,30 @@ class TestBuild:
         t = table.from_json_dict(json.loads(out))
         assert t.is_monoid
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",  # not an object
+            "{}",  # no composition
+            '{"composition": "13"}',  # composition not a list
+            '{"composition": [1, 0]}',  # non-positive part
+            '{"composition": [1, 2.5]}',  # non-integer part
+            '{"composition": [1, true]}',  # boolean part
+            '{"composition": [1, 3]}',  # chains entry "2" missing
+            '{"composition": [1, 3], "chains": [[[3]]]}',  # chains not an object
+            '{"composition": [1, 3], "chains": {"2": [3]}}',  # entry not a list of lists
+            '{"composition": [1, 3], "chains": {"2": [["3"]]}}',  # non-integer member
+            '{"composition": [1, 3], "chains": {"2": [[3]], "3": [[1]]}}',  # extra entry
+        ],
+    )
+    def test_complexity2_malformed_spec(self, capsys, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "build", "complexity2", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_lower_bound_family_dir(self, capsys, tmp_path):
         outdir = tmp_path / "family"
         code, _, _ = run(

@@ -1,7 +1,10 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from distmon.cli import main
 
 from distmon.formulas import (
     CeilingMap,
@@ -29,6 +32,15 @@ def partitions_brute(n):
             grown.append(p + [[x]])
         parts = grown
     return parts
+
+
+def dm_n_2_by_compositions(n):
+    """The complexity-2 sum taken literally, one composition at a time."""
+    total = 0
+    for parts in compositions(n):
+        if len(parts) <= n - 1:
+            total += math.prod(j ** (size - 1) for j, size in enumerate(parts, start=1))
+    return total
 
 
 class TestCompositions:
@@ -60,6 +72,17 @@ class TestDmN2:
     @pytest.mark.parametrize("n", range(2, 16))
     def test_bell_identity(self, n):
         assert dm_n_2(n) == bell(n) - 1
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_dp_equals_composition_sum(self, n):
+        assert dm_n_2(n) == dm_n_2_by_compositions(n)
+
+    def test_cli_n40_is_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["formula", "dm2", "--n", "40"]) == 0
+        elapsed = time.perf_counter() - t0
+        assert capsys.readouterr().out.strip() == str(bell(40) - 1)
+        assert elapsed < 1.0
 
 
 class TestBell:
@@ -186,7 +209,6 @@ class TestExactness:
     @given(st.integers(min_value=2, max_value=16))
     @settings(max_examples=20, deadline=None)
     def test_dm2_is_integer_and_positive(self, n):
-        # dm_n_2 walks all 2^(n-1) compositions, so keep n modest here
         v = dm_n_2(n)
         assert isinstance(v, int) and v >= 1
 
