@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .errors import NotAssociativeError, check_scale
 from .table import AdditionTable, fold_oplus, from_entries
@@ -51,34 +52,36 @@ def _require_monoid(t: AdditionTable, op: str) -> None:
         raise NotAssociativeError(f"{op} requires an associative table")
 
 
-def _arch_from_rows(rows: tuple[tuple[int, ...], ...], n: int) -> int:
-    """Bitmask scan for the absorption threshold; assumes associativity.
+def _row_masks(row: Sequence[int], n: int) -> tuple[int, list[int]]:
+    """Absorption data of row u: (bad, img).
+
+    bad is the mask of sums s that u fails to absorb (u + s != s); img[v]
+    is the mask {u + w : w >= v} for v = 0..n, with img[n + 1] = 0.
+    """
+    bad = 0
+    for s in range(n + 1):
+        if row[s] != s:
+            bad |= 1 << s
+    img = [0] * (n + 2)
+    acc = 0
+    for v in range(n, -1, -1):
+        acc |= 1 << row[v]
+        img[v] = acc
+    return bad, img
+
+
+def _arch_threshold(bad: Sequence[int], row_img: Sequence[Sequence[int]], n: int) -> int:
+    """Absorption threshold from per-row masks; assumes associativity.
 
     reach(r, m) = indices expressible as a sum of m elements all >= r, kept
     as bitmasks.  reach(r, 1) = {r..n}; reach(r, m+1) = {u+v : u in
     reach(r, m), v >= r}.  The threshold is the first m where every r
     absorbs all of reach(r, m); it exists because absorption at m implies
-    absorption at m+1 and always holds at m = n.
+    absorption at m+1 and always holds at m = n.  bad[r] and row_img[u]
+    are _row_masks of rows r = 1..n and u = 0..n.
     """
-    # bad[r]: sums r fails to absorb.  row_img[u][r]: {u+v : v >= r}.
-    bad = [0] * (n + 1)
-    row_img = [[0] * (n + 2) for _ in range(n + 1)]
-    for r in range(1, n + 1):
-        row = rows[r]
-        mask = 0
-        for s in range(n + 1):
-            if row[s] != s:
-                mask |= 1 << s
-        bad[r] = mask
-    for u in range(n + 1):
-        row = rows[u]
-        acc = 0
-        for v in range(n, -1, -1):
-            acc |= 1 << row[v]
-            row_img[u][v] = acc
-
-    all_ge = [(((1 << (n + 1)) - 1) >> r) << r for r in range(n + 1)]
-    reach = list(all_ge)
+    full = (1 << (n + 1)) - 1
+    reach = [(full >> r) << r for r in range(n + 1)]
     for m in range(1, n + 1):
         ok = True
         for r in range(1, n + 1):
@@ -90,13 +93,18 @@ def _arch_from_rows(rows: tuple[tuple[int, ...], ...], n: int) -> int:
         for r in range(1, n + 1):
             acc = 0
             mask = reach[r]
-            imgs = row_img
             while mask:
                 low = mask & -mask
-                acc |= imgs[low.bit_length() - 1][r]
+                acc |= row_img[low.bit_length() - 1][r]
                 mask ^= low
             reach[r] = acc
     raise AssertionError("absorption must hold by m = n on an associative table")
+
+
+def _arch_from_rows(rows: tuple[tuple[int, ...], ...], n: int) -> int:
+    """Bitmask scan for the absorption threshold; assumes associativity."""
+    masks = [_row_masks(row, n) for row in rows]
+    return _arch_threshold([bad for bad, _ in masks], [img for _, img in masks], n)
 
 
 def arch_complexity(t: AdditionTable) -> int:

@@ -7,7 +7,7 @@ it only reports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .analysis import (
@@ -18,7 +18,7 @@ from .analysis import (
     idempotents,
 )
 from .builders import enumerate_complexity2
-from .census import MAGMA_GUARD, CensusResult, SearchConfig, enumerate_tables
+from .census import MAGMA_GUARD, CensusResult, SearchConfig, count_magmas, enumerate_tables
 from .errors import scale_override_active
 from .formulas import bell, dm_n_2, dm_near_top, lower_bound
 from .robbins import ROBBINS_NUMBERS
@@ -85,16 +85,22 @@ def run_audit(
             CheckRecord(name, parameters, str(expected), str(actual), str(expected) == str(actual))
         )
 
-    def census(n: int, want_magmas: bool = False) -> CensusResult:
+    # magma counts come from the DP, attached to the monoid census of each n
+    magma_top = n_max
+    if not (scale_override or scale_override_active()):
+        magma_top = min(n_max, MAGMA_GUARD)
+
+    def census(n: int) -> CensusResult:
         result = enumerate_tables(
             SearchConfig(
                 n=n,
-                want_magmas=want_magmas,
-                emit=not want_magmas,
+                emit=True,
                 job_count=jobs if n >= 6 else 1,
                 scale_override=scale_override,
             )
         )
+        if n <= magma_top:
+            result = replace(result, magma_count=count_magmas(n))
         if census_hook is not None:
             result = census_hook(result)
         return result
@@ -121,15 +127,12 @@ def run_audit(
         )
 
     # (c) magma counts vs stored Robbins constants
-    magma_top = n_max
-    if not (scale_override or scale_override_active()):
-        magma_top = min(n_max, MAGMA_GUARD)
     for n in range(1, magma_top + 1):
         add(
             "magma-count-vs-robbins",
             {"n": n},
             ROBBINS_NUMBERS[n],
-            census(n, want_magmas=True).magma_count,
+            monoid_census[n].magma_count,
         )
 
     # (d) fast arch vs chain-enumeration oracle, exhaustive for small n

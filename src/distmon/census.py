@@ -7,27 +7,39 @@ Tables are generated by filling the upper-triangle cells (1,1), (1,2), ...,
 monotonicity (and, with the mirrored write, symmetry) into the tree itself:
 the magma tree has exactly one leaf per magma.
 
-Magmas are counted without visiting those leaves: the number of ways to
+One walker, _walk(), visits that tree.  It keeps its own stack (one level
+per cell) instead of recursing, so its cost does not depend on how deep
+the caller's Python stack is, and it runs every check inline from
+offsets precomputed per cell.  Two switches select what it does:
+
+* `stop`: the number of cells to fill.  A full walk yields every table;
+  a walk that stops at depth d yields the prefixes partition_work() hands
+  to pool workers.
+* `check`: prune by associativity.  When cell (b, c) is fixed, every
+  triple (a, b, c) with a <= b has all three of its inner cells
+  determined, so its three bracketings are evaluated immediately; a
+  bracketing whose outer lookup lands on a still-open cell parks the
+  triple on that cell, to be re-examined the moment the cell is assigned.
+  A subtree is abandoned at the first determined disagreement, which is
+  what makes the search feasible at n = 8..9.  A full checked walk also
+  gives each leaf its Archimedean complexity: when the last cell (r, n) of
+  row r is placed, row r's absorption masks are computed once
+  (analysis._row_masks), so a leaf runs only the threshold loop.
+
+Magmas are counted without visiting their leaves: the number of ways to
 complete rows i..n depends only on row i-1's cells at columns i..n, so
 count_magmas() carries a count per such row profile from row to row.  The
-leaf walk (_magma_subtree) runs only to emit magma tables, and serves as
-the DP's test oracle.
-
-For monoids, associativity is checked incrementally.  When cell (b, c) is
-fixed, every triple (a, b, c) with a <= b has all three of its inner cells
-determined, so its three bracketings are evaluated immediately; any
-bracketing whose outer lookup lands on a still-open cell parks the triple
-on that cell and is re-examined the moment the cell is assigned.  A subtree
-is abandoned at the first determined disagreement, which is what makes the
-search feasible at n = 8..9.
+unchecked full walk runs only to emit magma tables, and serves as the
+DP's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
+from typing import Iterator
 
-from .analysis import _arch_from_rows
+from .analysis import _arch_threshold, _row_masks
 from .errors import check_scale
 from .table import AdditionTable
 
@@ -91,17 +103,6 @@ def _fresh_table(n: int) -> list[int]:
     return T
 
 
-def _lower_bound(T: list[int], N1: int, i: int, j: int) -> int:
-    lo = j
-    left = T[i * N1 + j - 1]
-    if left > lo:
-        lo = left
-    up = T[(i - 1) * N1 + j]
-    if up > lo:
-        lo = up
-    return lo
-
-
 def count_magmas(n: int) -> int:
     """Number of distance magmas on n nonzero elements, exactly.
 
@@ -138,6 +139,133 @@ def count_magmas(n: int) -> int:
     return layer[()]
 
 
+def _walk(
+    n: int, prefix: tuple[int, ...], stop: int, check: bool
+) -> Iterator[tuple[int, list[int]]]:
+    """Walk the table tree below `prefix` and yield at every node `stop`
+    cells deep, in visit (= lexicographic) order.
+
+    Each yield is (arch, T): T is the walker's own flat (n+1)^2 table, so
+    read it before resuming; arch is the node's Archimedean complexity
+    when `check` is set and `stop` covers every cell, else 0.  With
+    `check`, subtrees that break associativity are cut off.
+    """
+    N1 = n + 1
+    cells = _cells(n)
+    ncells = len(cells)
+    plen = len(prefix)
+    T = _fresh_table(n)
+    # per cell (i, j): its offset and its mirror's, the offsets of its left
+    # and upper neighbours, and the range [j, top] its value may take
+    # (top is the prefix value on prefix cells)
+    cell_off = [i * N1 + j for i, j in cells]
+    mirror_off = [j * N1 + i for i, j in cells]
+    left_off = [i * N1 + j - 1 for i, j in cells]
+    up_off = [(i - 1) * N1 + j for i, j in cells]
+    floor = [j for _, j in cells]
+    top = [prefix[k] if k < plen else n for k in range(ncells)]
+    # the row a cell completes, when the walk needs leaf arch
+    want_arch = check and stop == ncells
+    row_done = [i if want_arch and j == n else 0 for i, j in cells]
+    # pending[c]: the triples to check when cell c is placed.  Each cell's
+    # list starts with the triples (a, i, j), a = 1..i, that it completes,
+    # as (ab, ac, bc, c, b, a) offsets; a triple whose outer lookup hits an
+    # open cell is parked on that cell's list and on the trail.  Both
+    # halves of a cell share one list.
+    pending: list[list[tuple[int, ...]]] = [[] for _ in range(N1 * N1)]
+    for i, j in cells:
+        pending[i * N1 + j] = pending[j * N1 + i] = [
+            (a * N1 + i, a * N1 + j, i * N1 + j, j, i, a) for a in range(1, i + 1)
+        ]
+    trail: list[list[tuple[int, ...]]] = []
+    marks = [0] * ncells
+    # TN[c] = T[c] * N1, the offset of row T[c], for every placed cell c
+    # of the upper triangle (a triple's inner cells all lie there)
+    TN = [x * N1 for x in T]
+    bad, row_img = [0] * N1, [[0] * (n + 2) for _ in range(N1)]
+    bad[0], row_img[0] = _row_masks(T[:N1], n)
+
+    k = -1
+    while True:
+        # descend: the next cell starts at its magma lower bound
+        k += 1
+        marks[k] = len(trail)
+        v = floor[k]
+        x = T[left_off[k]]
+        if x > v:
+            v = x
+        x = T[up_off[k]]
+        if x > v:
+            v = x
+        if k < plen:
+            if not v <= prefix[k] <= n:
+                i, j = cells[k]
+                raise ValueError(f"prefix cell ({i},{j})={prefix[k]} violates magma bounds")
+            v = prefix[k]
+        ci, cj, hi, mark = cell_off[k], mirror_off[k], top[k], marks[k]
+        while True:
+            if v > hi:
+                # level k is exhausted: reopen its cell, resume the level above
+                T[ci] = T[cj] = -1
+                if k == 0:
+                    return
+                k -= 1
+                ci, cj, hi, mark = cell_off[k], mirror_off[k], top[k], marks[k]
+                v = T[ci] + 1
+                continue
+            if len(trail) > mark:
+                # unpark what was parked since this level was entered
+                for parked in trail[mark:]:
+                    parked.pop()
+                del trail[mark:]
+            T[ci] = T[cj] = v
+            v += 1
+            if check:
+                TN[ci] = T[ci] * N1
+                # the loop breaks at a determined disagreement, so tri is
+                # None after it only if every triple passed
+                for tri in pending[ci]:
+                    ab, ac, bc, c, b, a = tri
+                    o1 = TN[ab] + c
+                    o2 = TN[ac] + b
+                    o3 = TN[bc] + a
+                    p1 = T[o1]
+                    p2 = T[o2]
+                    p3 = T[o3]
+                    if p1 == p2 == p3 and p1 >= 0:
+                        continue
+                    if p1 >= 0:
+                        if p2 >= 0:
+                            if p1 != p2 or p3 >= 0:
+                                break
+                            parked = pending[o3]
+                        else:
+                            if p3 >= 0 and p1 != p3:
+                                break
+                            parked = pending[o2]
+                    else:
+                        if p2 >= 0 and p3 >= 0 and p2 != p3:
+                            break
+                        parked = pending[o1]
+                    parked.append(tri)
+                    trail.append(parked)
+                else:
+                    tri = None
+                if tri is not None:
+                    continue
+                r = row_done[k]
+                if r:
+                    bad[r], row_img[r] = _row_masks(T[r * N1 : r * N1 + N1], n)
+            if k + 1 < stop:
+                break
+            yield (_arch_threshold(bad, row_img, n) if want_arch else 0), T
+
+
+def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+    N1 = n + 1
+    return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
+
+
 def _monoid_subtree(
     n: int,
     prefix: tuple[int, ...],
@@ -148,100 +276,12 @@ def _monoid_subtree(
 
     Returns ({arch: count}, emitted tables in visit order).
     """
-    N1 = n + 1
-    T = _fresh_table(n)
-    cells = _cells(n)
-    ncells = len(cells)
-    pending: list[list[tuple[int, int, int]]] = [[] for _ in range(N1 * N1)]
-    trail: list[int] = []
     by_arch: dict[int, int] = {}
     emitted: list[AdditionTable] = []
-
-    def check_triple(a: int, b: int, c: int) -> bool:
-        """a <= b <= c with all inner cells fixed; False on a proven violation.
-
-        If some bracketing's outer lookup is still open, park the triple on
-        one open cell; re-checking on that cell's assignment chases the
-        remaining lookups, so the triple is fully verified by leaf time.
-        """
-        x1 = T[a * N1 + b]
-        x2 = T[a * N1 + c]
-        x3 = T[b * N1 + c]
-        p1 = T[x1 * N1 + c]
-        p2 = T[x2 * N1 + b]
-        p3 = T[x3 * N1 + a]
-        if p1 >= 0:
-            if p2 >= 0:
-                if p1 != p2:
-                    return False
-                if p3 >= 0:
-                    return p1 == p3
-                cid = x3 * N1 + a
-            else:
-                if p3 >= 0 and p1 != p3:
-                    return False
-                cid = x2 * N1 + b
-        else:
-            if p2 >= 0 and p3 >= 0 and p2 != p3:
-                return False
-            cid = x1 * N1 + c
-        pending[cid].append((a, b, c))
-        trail.append(cid)
-        return True
-
-    def assign(k: int, val: int) -> bool:
-        """Place cells[k] = val; run all checks now determined."""
-        i, j = cells[k]
-        ci = i * N1 + j
-        cj = j * N1 + i
-        T[ci] = val
-        T[cj] = val
-        for a in range(1, i + 1):
-            if not check_triple(a, i, j):
-                return False
-        for tri in pending[ci]:
-            if not check_triple(*tri):
-                return False
-        if ci != cj:
-            for tri in pending[cj]:
-                if not check_triple(*tri):
-                    return False
-        return True
-
-    def unassign(k: int, mark: int) -> None:
-        i, j = cells[k]
-        while len(trail) > mark:
-            pending[trail.pop()].pop()
-        T[i * N1 + j] = -1
-        T[j * N1 + i] = -1
-
-    def leaf() -> None:
-        rows = tuple(tuple(T[r * N1 : (r + 1) * N1]) for r in range(N1))
-        arch = _arch_from_rows(rows, n)
+    for arch, T in _walk(n, prefix, n * (n + 1) // 2, True):
         by_arch[arch] = by_arch.get(arch, 0) + 1
         if emit and (arch_filter is None or arch == arch_filter):
-            emitted.append(AdditionTable(n, rows))
-
-    def rec(k: int) -> None:
-        if k == ncells:
-            leaf()
-            return
-        i, j = cells[k]
-        for val in range(_lower_bound(T, N1, i, j), N1):
-            mark = len(trail)
-            if assign(k, val):
-                rec(k + 1)
-            unassign(k, mark)
-
-    # replay the prefix through the same machinery; a dead prefix means the
-    # subtree holds no monoids at all
-    for k, val in enumerate(prefix):
-        i, j = cells[k]
-        if val < _lower_bound(T, N1, i, j) or val > n:
-            raise ValueError(f"prefix cell ({i},{j})={val} violates magma bounds")
-        if not assign(k, val):
-            return {}, []
-    rec(len(prefix))
+            emitted.append(AdditionTable(n, _rows(T, n)))
     return by_arch, emitted
 
 
@@ -249,39 +289,12 @@ def _magma_subtree(
     n: int, prefix: tuple[int, ...], emit: bool
 ) -> tuple[int, list[AdditionTable]]:
     """Count (and optionally collect) all magmas extending `prefix`."""
-    N1 = n + 1
-    T = _fresh_table(n)
-    cells = _cells(n)
-    ncells = len(cells)
-    emitted: list[AdditionTable] = []
     count = 0
-
-    for k, val in enumerate(prefix):
-        i, j = cells[k]
-        if val < _lower_bound(T, N1, i, j) or val > n:
-            raise ValueError(f"prefix cell ({i},{j})={val} violates magma bounds")
-        T[i * N1 + j] = val
-        T[j * N1 + i] = val
-
-    def rec(k: int) -> None:
-        nonlocal count
-        if k == ncells:
-            count += 1
-            if emit:
-                rows = tuple(tuple(T[r * N1 : (r + 1) * N1]) for r in range(N1))
-                emitted.append(AdditionTable(n, rows))
-            return
-        i, j = cells[k]
-        ci = i * N1 + j
-        cj = j * N1 + i
-        for val in range(_lower_bound(T, N1, i, j), N1):
-            T[ci] = val
-            T[cj] = val
-            rec(k + 1)
-        T[ci] = -1
-        T[cj] = -1
-
-    rec(len(prefix))
+    emitted: list[AdditionTable] = []
+    for _, T in _walk(n, prefix, n * (n + 1) // 2, False):
+        count += 1
+        if emit:
+            emitted.append(AdditionTable(n, _rows(T, n)))
     return count, emitted
 
 
@@ -295,31 +308,11 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     if config.prefix_depth < 1:
         raise ValueError("partition_work requires prefix_depth >= 1")
     n = config.n
-    N1 = n + 1
-    T = _fresh_table(n)
-    cells = _cells(n)
-    depth = config.prefix_depth
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(k: int) -> None:
-        if k == depth:
-            out.append(tuple(stack))
-            return
-        i, j = cells[k]
-        ci = i * N1 + j
-        cj = j * N1 + i
-        for val in range(_lower_bound(T, N1, i, j), N1):
-            T[ci] = val
-            T[cj] = val
-            stack.append(val)
-            rec(k + 1)
-            stack.pop()
-        T[ci] = -1
-        T[cj] = -1
-
-    rec(0)
-    return out
+    offsets = [i * (n + 1) + j for i, j in _cells(n)[: config.prefix_depth]]
+    return [
+        tuple(T[o] for o in offsets)
+        for _, T in _walk(n, (), config.prefix_depth, False)
+    ]
 
 
 def _run_prefix(args: tuple) -> tuple[dict[int, int], list[AdditionTable]]:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, audit, builders, census, formulas, table
-from .errors import NotAssociativeError
+from .errors import NotAssociativeError, check_scale
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -85,6 +85,8 @@ def _cmd_formula(args) -> int:
     kind = args.formula
     if kind not in ("dm2", "bell") and args.k is None:
         raise ValueError(f"formula {kind} requires --k")
+    if kind in ("dm2", "bell", "stirling2"):
+        check_scale(f"formula {kind} n", args.n, formulas.FORMULA_GUARD)
     if kind == "dm2":
         value = formulas.dm_n_2(args.n)
     elif kind == "bell":
@@ -102,7 +104,10 @@ def _cmd_formula(args) -> int:
 
 
 def _parse_values(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"--values: {exc}") from None
 
 
 def _write_or_print(t: table.AdditionTable, out: str | None) -> None:

@@ -14,6 +14,11 @@ from typing import Iterator
 # intent at API boundaries.
 BigCount = int
 
+# Largest n the `formula` command evaluates dm2, bell and stirling2 at
+# without an override: their big-integer work grows about as n^3 in bits
+# (dm_n_2(2000) takes seconds).
+FORMULA_GUARD = 1000
+
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Compositions of n into positive parts, in colexicographic order.

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,8 @@ from distmon.analysis import arch_complexity
 from distmon.census import (
     SearchConfig,
     _magma_subtree,
+    _rows,
+    _walk,
     count_magmas,
     dm_table,
     dm_table_csv,
@@ -16,6 +19,7 @@ from distmon.cli import main
 from distmon.errors import ScaleGuardError
 from distmon.formulas import dm_n_2, lower_bound
 from distmon.robbins import ROBBINS_NUMBERS, robbins_number
+from distmon.table import AdditionTable
 
 MAGMA_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
 MONOID_BY_ARCH = {
@@ -133,6 +137,76 @@ class TestCountMagmas:
             outputs.append(capsys.readouterr().out)
         assert json.loads(outputs[0])["magma_count"] == "7436"
         assert outputs == [outputs[0]] * len(outputs)
+
+
+def _ncells(n):
+    return n * (n + 1) // 2
+
+
+def _prefixes_by_filter(n, depth):
+    """Every value tuple for the first `depth` cells that meets the magma
+    bounds, by filtering all of {1..n}^depth."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)][:depth]
+    out = []
+    for vals in product(range(1, n + 1), repeat=depth):
+        square = {(0, j): j for j in range(n + 1)}
+        square.update({(j, 0): j for j in range(n + 1)})
+        ok = True
+        for (i, j), v in zip(cells, vals):
+            if v < max(j, square.get((i, j - 1), 0), square.get((i - 1, j), 0)):
+                ok = False
+                break
+            square[i, j] = square[j, i] = v
+        if ok:
+            out.append(vals)
+    return out
+
+
+def _at_depth(depth, fn):
+    return fn() if depth == 0 else _at_depth(depth - 1, fn)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_leaf_arch_equals_arch_complexity(self, n):
+        seen = 0
+        for arch, T in _walk(n, (), _ncells(n), True):
+            assert arch == arch_complexity(AdditionTable(n, _rows(T, n)))
+            seen += 1
+        assert seen == [1, 2, 6, 22, 94, 451, 2386][n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_magma_leaves_equal_dp(self, n):
+        assert sum(1 for _ in _walk(n, (), _ncells(n), False)) == count_magmas(n)
+        assert len(_magma_subtree(n, (), True)[1]) == count_magmas(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("depth", range(1, 5))
+    def test_partition_work_equals_filter(self, n, depth):
+        depth = min(depth, _ncells(n))
+        expected = _prefixes_by_filter(n, depth)
+        assert partition_work(SearchConfig(n=n, prefix_depth=depth)) == expected
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_independent_of_caller_depth(self, emit):
+        config = SearchConfig(n=5, want_magmas=True, emit=emit)
+        shallow = enumerate_tables(config)
+        deep = _at_depth(300, lambda: enumerate_tables(config))
+        assert deep == shallow
+        assert deep.magma_count == 429 and deep.by_arch == MONOID_BY_ARCH[5]
+
+    def test_prefix_subtrees_equal_filtered_magmas(self):
+        # some of these prefixes already break associativity (dead subtrees)
+        for prefix in partition_work(SearchConfig(n=4, prefix_depth=3)):
+            walked = sum(1 for _ in _walk(4, prefix, _ncells(4), True))
+            magmas = [t for t in _magma_subtree(4, prefix, True)[1] if t.is_monoid]
+            assert walked == len(magmas)
+
+    def test_rejects_out_of_bounds_prefix(self):
+        with pytest.raises(ValueError):
+            list(_walk(3, (2, 1), _ncells(3), True))
+        with pytest.raises(ValueError):
+            list(_walk(3, (4,), _ncells(3), False))
 
 
 class TestPartitioning:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -166,6 +167,22 @@ class TestFormula:
     def test_missing_k(self, capsys):
         code, _, _ = run(capsys, "formula", "stirling2", "--n", "4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formula", "dm2", "--n", "100000"],
+            ["formula", "bell", "--n", "1001"],
+            ["formula", "stirling2", "--n", "100000", "--k", "3"],
+        ],
+    )
+    def test_scale_guard(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "guard" in err and "Traceback" not in err
 
 
 class TestBuild:
