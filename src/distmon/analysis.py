@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .errors import NotAssociativeError, check_scale
-from .table import AdditionTable, fold_oplus, from_entries
+from .table import AdditionTable, _multiples, fold_oplus, from_entries
 
 NAIVE_ORACLE_LIMIT = 6
 
@@ -101,18 +101,13 @@ def _arch_threshold(bad: Sequence[int], row_img: Sequence[Sequence[int]], n: int
     raise AssertionError("absorption must hold by m = n on an associative table")
 
 
-def _arch_from_rows(rows: tuple[tuple[int, ...], ...], n: int) -> int:
-    """Bitmask scan for the absorption threshold; assumes associativity."""
-    masks = [_row_masks(row, n) for row in rows]
-    return _arch_threshold([bad for bad, _ in masks], [img for _, img in masks], n)
-
-
 def arch_complexity(t: AdditionTable) -> int:
     """Archimedean complexity via the reachable-sums dynamic program."""
     _require_monoid(t, "arch_complexity")
     if t.n < 1:
         raise ValueError("Archimedean complexity is undefined for n = 0")
-    return _arch_from_rows(t.entries, t.n)
+    masks = [_row_masks(row, t.n) for row in t.entries]
+    return _arch_threshold([bad for bad, _ in masks], [img for _, img in masks], t.n)
 
 
 def chains_absorb(t: AdditionTable, m: int) -> bool:
@@ -157,27 +152,17 @@ def decompose(t: AdditionTable) -> ArchDecomposition:
     exactly the nonzero idempotents), which is asserted.
     """
     _require_monoid(t, "decompose")
-    n = t.n
     sizes: list[int] = []
     boundaries: list[tuple[int, int]] = []
     lo = 1
-    while lo <= n:
-        x = lo
-        while True:
-            nxt = t.entries[x][lo]
-            if nxt == x:
-                break
-            x = nxt
-        sizes.append(x - lo + 1)
-        boundaries.append((lo, x))
-        lo = x + 1
+    while lo <= t.n:
+        top = _multiples(t, lo)[-1]
+        sizes.append(top - lo + 1)
+        boundaries.append((lo, top))
+        lo = top + 1
 
-    splits = sorted(idempotents(t))
-    alt = []
-    prev = 0
-    for top in splits:
-        alt.append((prev + 1, top))
-        prev = top
+    tops = sorted(idempotents(t))
+    alt = [(prev + 1, top) for prev, top in zip([0] + tops, tops)]
     assert alt == boundaries, "multiple-stabilization and idempotent splits differ"
     return ArchDecomposition(tuple(sizes), tuple(boundaries))
 
@@ -203,17 +188,7 @@ def class_submonoid(t: AdditionTable, class_index: int) -> AdditionTable:
 def ap_profile(t: AdditionTable) -> ApProfile:
     """Distinct-multiple counts per element; classes make these stabilize."""
     _require_monoid(t, "ap_profile")
-    per = []
-    for i in range(1, t.n + 1):
-        x = i
-        count = 1
-        while True:
-            nxt = t.entries[x][i]
-            if nxt == x:
-                break
-            count += 1
-            x = nxt
-        per.append(count)
+    per = [len(_multiples(t, i)) for i in range(1, t.n + 1)]
     return ApProfile(tuple(per), max(per, default=0))
 
 

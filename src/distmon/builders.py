@@ -22,8 +22,6 @@ from .table import AdditionTable, from_entries, validate
 ENUMERATE_C2_GUARD = 10
 COUNTEREXAMPLE_GUARD = 6
 
-RationalValue = Fraction
-
 
 def sup_monoid(values: Sequence[Fraction | int]) -> tuple[AdditionTable, bool]:
     """Table for sup-addition a + b = largest carrier value <= a + b.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -19,17 +20,18 @@ from .errors import NotAssociativeError, check_scale
 USAGE_ERROR = 2
 MATH_ERROR = 1
 
+# Largest |exponent| a --values token may carry: Fraction("1e<x>") builds
+# 10^x in full, so the bound is Python's own int-digit limit.
+_MAX_VALUE_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)$", re.IGNORECASE)
+
 
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _load_table(path: str) -> table.AdditionTable:
-    return table.load(path)
-
-
 def _cmd_verify(args) -> int:
-    t = _load_table(args.path)
+    t = table.load(args.path)
     report = t.validate()
     _print_json(report.to_json_dict())
     ok = report.is_magma and (report.is_monoid or not args.expect_monoid)
@@ -37,7 +39,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    t = _load_table(args.path)
+    t = table.load(args.path)
     if not t.is_monoid:
         print("input table is not associative; analysis requires a monoid", file=sys.stderr)
         return MATH_ERROR
@@ -85,8 +87,7 @@ def _cmd_formula(args) -> int:
     kind = args.formula
     if kind not in ("dm2", "bell") and args.k is None:
         raise ValueError(f"formula {kind} requires --k")
-    if kind in ("dm2", "bell", "stirling2"):
-        check_scale(f"formula {kind} n", args.n, formulas.FORMULA_GUARD)
+    check_scale(f"formula {kind} n", args.n, formulas.FORMULA_GUARD)
     if kind == "dm2":
         value = formulas.dm_n_2(args.n)
     elif kind == "bell":
@@ -104,8 +105,15 @@ def _cmd_formula(args) -> int:
 
 
 def _parse_values(text: str) -> list[Fraction]:
+    tokens = [part.strip() for part in text.split(",") if part.strip()]
+    for token in tokens:
+        exponent = _EXPONENT.search(token)
+        if exponent and abs(int(exponent[1])) > _MAX_VALUE_EXPONENT:
+            raise ValueError(
+                f"--values: {token!r} has an exponent beyond +-{_MAX_VALUE_EXPONENT}"
+            )
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(token) for token in tokens]
     except ZeroDivisionError as exc:
         raise ValueError(f"--values: {exc}") from None
 

@@ -14,9 +14,10 @@ from typing import Iterator
 # intent at API boundaries.
 BigCount = int
 
-# Largest n the `formula` command evaluates dm2, bell and stirling2 at
-# without an override: their big-integer work grows about as n^3 in bits
-# (dm_n_2(2000) takes seconds).
+# Largest n the `formula` command evaluates any formula at without an
+# override: dm2, bell and stirling2 do big-integer work growing about as
+# n^3 in bits (dm_n_2(2000) takes seconds); lower-bound and a-chains build
+# integers of up to n and (n - 1) * log2(k + 1) bits.
 FORMULA_GUARD = 1000
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAssociativeError, TableFormatError
 
@@ -73,13 +74,8 @@ class AdditionTable:
             raise IndexError(f"element index out of range: {i}")
         if m < 1:
             raise ValueError("m must be >= 1")
-        x = i
-        for _ in range(min(m, self.n + 1) - 1):
-            nxt = self.entries[x][i]
-            if nxt == x:
-                break
-            x = nxt
-        return x
+        seq = _multiples(self, i)
+        return seq[min(m, len(seq)) - 1]
 
     @cached_property
     def _default_report(self) -> ValidationReport:
@@ -153,93 +149,74 @@ def from_upper_triangle(n: int, cells: Sequence[int]) -> AdditionTable:
     return from_entries(n, square)
 
 
+def _magma_violations(e: Sequence[Sequence[int]], n: int) -> Iterator[Violation]:
+    """Identity, symmetry, positivity, then monotonicity violations."""
+    for j in range(n + 1):
+        if e[0][j] != j:
+            yield Violation("identity", (0, j))
+        if e[j][0] != j:
+            yield Violation("identity", (j, 0))
+    symmetric = True
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if e[i][j] != e[j][i]:
+                symmetric = False
+                yield Violation("symmetry", (i, j))
+    for i in range(1, n + 1):
+        for j in range(i, n + 1) if symmetric else range(1, n + 1):
+            if e[i][j] < max(i, j):
+                yield Violation("positivity", (i, j))
+    # adjacent comparisons suffice; witness = the cell that dropped
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if j < n and e[i][j + 1] < e[i][j]:
+                yield Violation("monotonicity", (i, j + 1))
+            if i < n and e[i + 1][j] < e[i][j]:
+                yield Violation("monotonicity", (i + 1, j))
+
+
+def _associativity_violations(e: Sequence[Sequence[int]], n: int) -> Iterator[Violation]:
+    # symmetry holds, so the three bracketings of {i,j,k} cover all
+    # ordered instances; i <= j <= k shrinks the triple space 6-fold
+    for i in range(1, n + 1):
+        row_i = e[i]
+        for j in range(i, n + 1):
+            ij = row_i[j]
+            row_j = e[j]
+            for k in range(j, n + 1):
+                p1 = e[ij][k]
+                if p1 != e[row_i[k]][j] or p1 != e[row_j[k]][i]:
+                    yield Violation("associativity", (i, j, k))
+
+
 def _validate(t: AdditionTable, cap: int) -> ValidationReport:
     if cap < 1:
         raise ValueError("max_violations must be >= 1")
-    n = t.n
-    e = t.entries
-    violations: list[Violation] = []
-
-    def add(axiom: str, witness: tuple[int, ...]) -> bool:
-        """Record a violation; return False once the cap is reached."""
-        if len(violations) < cap:
-            violations.append(Violation(axiom, witness))
-        return len(violations) < cap
-
-    scanning = True
-    for j in range(n + 1):
-        if e[0][j] != j and not add("identity", (0, j)):
-            scanning = False
-            break
-        if e[j][0] != j and not add("identity", (j, 0)):
-            scanning = False
-            break
-    symmetric = True
-    if scanning:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if e[i][j] != e[j][i]:
-                    symmetric = False
-                    if not add("symmetry", (i, j)):
-                        scanning = False
-                        break
-            if not scanning:
-                break
-    if scanning:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1) if symmetric else range(1, n + 1):
-                if e[i][j] < max(i, j) and not add("positivity", (i, j)):
-                    scanning = False
-                    break
-            if not scanning:
-                break
-    if scanning:
-        # adjacent comparisons suffice; witness = the cell that dropped
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if j + 1 <= n and e[i][j + 1] < e[i][j]:
-                    if not add("monotonicity", (i, j + 1)):
-                        scanning = False
-                        break
-                if i + 1 <= n and e[i + 1][j] < e[i][j]:
-                    if not add("monotonicity", (i + 1, j)):
-                        scanning = False
-                        break
-            if not scanning:
-                break
-
+    violations = tuple(islice(_magma_violations(t.entries, t.n), cap))
     is_magma = not violations
-    associative = is_magma
     if is_magma:
-        # symmetry holds, so the three bracketings of {i,j,k} cover all
-        # ordered instances; i <= j <= k shrinks the triple space 6-fold
-        for i in range(1, n + 1):
-            row_i = e[i]
-            for j in range(i, n + 1):
-                ij = row_i[j]
-                row_j = e[j]
-                for k in range(j, n + 1):
-                    p1 = e[ij][k]
-                    p2 = e[row_i[k]][j]
-                    if p1 != p2 or p1 != e[row_j[k]][i]:
-                        associative = False
-                        if not add("associativity", (i, j, k)):
-                            scanning = False
-                            break
-                if not scanning:
-                    break
-            if not scanning:
-                break
-
-    return ValidationReport(
-        is_magma=is_magma,
-        is_monoid=is_magma and associative,
-        violations=tuple(violations),
-    )
+        # associativity is scanned only on magmas, so is_monoid is "no violations"
+        violations = tuple(islice(_associativity_violations(t.entries, t.n), cap))
+    return ValidationReport(is_magma=is_magma, is_monoid=not violations, violations=violations)
 
 
 def validate(t: AdditionTable, max_violations: int = DEFAULT_VIOLATION_CAP) -> ValidationReport:
     return t.validate(max_violations)
+
+
+def _multiples(t: AdditionTable, i: int) -> list[int]:
+    """Distinct multiples i, 2i, 3i, ... of element i, ending at the stable one.
+
+    Callers check associativity, which makes these the m-fold sums;
+    positivity makes the walk stop within n steps.
+    """
+    e = t.entries
+    seq = [i]
+    nxt = e[i][i]
+    while nxt != seq[-1]:
+        seq.append(nxt)
+        nxt = e[nxt][i]
+    return seq
 
 
 def fold_oplus(t: AdditionTable, indices: Iterable[int]) -> int:

@@ -12,7 +12,7 @@ from distmon.analysis import (
 )
 from distmon.builders import counterexample_family
 from distmon.errors import NotAssociativeError, ScaleGuardError
-from distmon.table import capped_naturals, from_upper_triangle, max_monoid
+from distmon.table import capped_naturals, fold_oplus, from_upper_triangle, max_monoid
 
 NONASSOC_3 = from_upper_triangle(3, (2, 2, 3, 3, 3, 3))
 
@@ -179,6 +179,24 @@ class TestStructuralInvariants:
                 assert witnesses
                 lo, hi = witnesses[0]
                 assert t.multiple(lo, n - 1) == hi
+
+
+class TestMultiplesOracle:
+    def test_census_monoids_against_fold(self, census_cache):
+        # multiple, ap_profile and decompose share one walk; the oracle is a
+        # plain left fold of m copies
+        for n in range(1, 6):
+            for t in census_cache(n).emitted:
+                folds = {
+                    i: [fold_oplus(t, [i] * m) for m in range(1, n + 3)] for i in range(n + 1)
+                }
+                for i, by_m in folds.items():
+                    assert [t.multiple(i, m) for m in range(1, n + 3)] == by_m
+                assert ap_profile(t).per_element == tuple(
+                    len(set(folds[i])) for i in range(1, n + 1)
+                )
+                for lo, hi in decompose(t).boundaries:
+                    assert hi == folds[lo][-1]
 
 
 class TestAnalysisJson:

@@ -174,6 +174,8 @@ class TestFormula:
             ["formula", "dm2", "--n", "100000"],
             ["formula", "bell", "--n", "1001"],
             ["formula", "stirling2", "--n", "100000", "--k", "3"],
+            ["formula", "lower-bound", "--n", "2000000", "--k", "1000000"],
+            ["formula", "a-chains", "--n", "100000000", "--k", "2"],
         ],
     )
     def test_scale_guard(self, capsys, argv):
@@ -197,6 +199,20 @@ class TestBuild:
         assert code == 0
         assert "not associative" in err
         assert json.loads(out)["n"] == 3
+
+    @pytest.mark.parametrize("values", ["1,1e10000000", "1E-4301,1"])
+    def test_sup_rejects_huge_exponent(self, capsys, values):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "sup", "--values", values)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exponent" in err and "Traceback" not in err
+
+    def test_sup_parses_decimal_forms(self, capsys):
+        code, out, _ = run(capsys, "build", "sup", "--values", "2.5,7/2,1e2,1e4300")
+        assert code == 0
+        assert json.loads(out)["n"] == 4
 
     def test_counterexample(self, capsys, tmp_path):
         out = tmp_path / "cx.json"

@@ -166,9 +166,9 @@ class TestSerialization:
 
 
 @st.composite
-def random_magmas(draw):
+def random_magmas(draw, max_n=5):
     """Magmas generated cell by cell within the positivity/monotonicity bounds."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     for j in range(n + 1):
         rows[0][j] = j
@@ -179,6 +179,22 @@ def random_magmas(draw):
             v = draw(st.integers(min_value=lo, max_value=n))
             rows[i][j] = v
             rows[j][i] = v
+    return from_entries(n, rows)
+
+
+@st.composite
+def random_tables(draw):
+    """Arbitrary tables with n <= 4, optionally with the identity row and
+    column or symmetry imposed so that later axioms get scanned too."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    rows = [[draw(st.integers(0, n)) for _ in range(n + 1)] for _ in range(n + 1)]
+    if draw(st.booleans()):
+        for j in range(n + 1):
+            rows[0][j] = rows[j][0] = j
+    if draw(st.booleans()):
+        for i in range(n + 1):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
     return from_entries(n, rows)
 
 
@@ -194,3 +210,108 @@ class TestProperties:
     @given(random_magmas())
     def test_json_round_trip(self, t):
         assert loads(t.dumps()) == t
+
+    @given(st.one_of(random_tables(), random_magmas(max_n=4)))
+    def test_cap_truncates_the_full_scan(self, t):
+        full = t.validate(1000).violations
+        for cap in range(1, 7):
+            report = t.validate(cap)
+            assert report.violations == full[:cap]
+            assert report.is_monoid == (not report.violations)
+            assert report.is_magma == (
+                not report.violations or report.violations[0].axiom == "associativity"
+            )
+
+
+EXAMPLE_NONASSOC_5 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 4, 4, 4, 4, 5],
+    [2, 4, 4, 4, 4, 5],
+    [3, 4, 4, 4, 5, 5],
+    [4, 4, 4, 5, 5, 5],
+    [5, 5, 5, 5, 5, 5],
+]
+POSITIVITY_3 = [[0, 1, 2, 3], [1, 0, 1, 3], [2, 1, 2, 3], [3, 3, 3, 3]]
+
+
+class TestViolationPins:
+    """Exact violations, in order and with witnesses, of malformed tables."""
+
+    @pytest.mark.parametrize(
+        "rows,cap,expected",
+        [
+            pytest.param(
+                [[1, 1, 2], [1, 1, 2], [2, 2, 2]], 32,
+                [("identity", (0, 0)), ("identity", (0, 0))],
+                id="identity",
+            ),
+            pytest.param(
+                [[0, 0, 0, 0], [1, 1, 2, 3], [0, 2, 2, 3], [3, 3, 3, 3]], 3,
+                [("identity", (0, 1)), ("identity", (0, 2)), ("identity", (2, 0))],
+                id="identity-cap",
+            ),
+            pytest.param(
+                [[0, 1, 2, 3], [1, 2, 2, 3], [2, 3, 2, 3], [3, 2, 3, 3]], 32,
+                [
+                    ("symmetry", (1, 2)), ("symmetry", (1, 3)), ("positivity", (3, 1)),
+                    ("monotonicity", (2, 2)), ("monotonicity", (3, 1)),
+                    ("monotonicity", (3, 1)),
+                ],
+                id="symmetry",
+            ),
+            pytest.param(
+                [[0, 1, 2, 3, 4]] + [[i] * 5 for i in range(1, 5)], 4,
+                [
+                    ("symmetry", (1, 2)), ("symmetry", (1, 3)),
+                    ("symmetry", (1, 4)), ("symmetry", (2, 3)),
+                ],
+                id="symmetry-cap",
+            ),
+            pytest.param(
+                [[0, 1, 2, 3], [1, 1, 1, 3], [2, 2, 2, 3], [3, 3, 3, 3]], 32,
+                [("symmetry", (1, 2)), ("positivity", (1, 2)), ("monotonicity", (1, 2))],
+                id="positivity-asymmetric",
+            ),
+            pytest.param(
+                POSITIVITY_3, 32,
+                [
+                    ("positivity", (1, 1)), ("positivity", (1, 2)),
+                    ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
+                    ("monotonicity", (1, 1)), ("monotonicity", (2, 1)),
+                ],
+                id="positivity",
+            ),
+            pytest.param(POSITIVITY_3, 1, [("positivity", (1, 1))], id="positivity-cap"),
+            pytest.param(
+                POSITIVITY_3, 4,
+                [
+                    ("positivity", (1, 1)), ("positivity", (1, 2)),
+                    ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
+                ],
+                id="monotonicity-cap",
+            ),
+            pytest.param(
+                [[0, 1, 2, 3], [1, 3, 2, 3], [2, 2, 3, 3], [3, 3, 3, 3]], 32,
+                [("monotonicity", (1, 2)), ("monotonicity", (2, 1))],
+                id="monotonicity",
+            ),
+            pytest.param(
+                [list(row) for row in NONASSOC_3.entries], 32,
+                [("associativity", (1, 1, 2))],
+                id="associativity",
+            ),
+            pytest.param(
+                EXAMPLE_NONASSOC_5, 3,
+                [
+                    ("associativity", (1, 1, 3)), ("associativity", (1, 1, 4)),
+                    ("associativity", (1, 2, 3)),
+                ],
+                id="associativity-cap",
+            ),
+        ],
+    )
+    def test_violations(self, rows, cap, expected):
+        report = from_entries(len(rows) - 1, rows).validate(cap)
+        assert [(v.axiom, v.witness) for v in report.violations] == expected
+        assert report.is_magma == (expected[0][0] == "associativity")
+        assert not report.is_monoid
