@@ -1,8 +1,11 @@
 """Exhaustive census: every magma/monoid of a given size, counted exactly.
 
-The search fills the upper triangle cell by cell; positivity and
-monotonicity are built into each cell's range, and associativity is
-checked incrementally so dead subtrees die early.
+Counts grow each monoid from its truncation (the monoid one element
+smaller, with sums capped at its top), deciding only where the new top
+appears.  Emitted tables come from a walk that fills the upper triangle
+cell by cell; positivity and monotonicity are built into each cell's
+range, and associativity is checked incrementally so dead subtrees die
+early.
 """
 
 import time
@@ -28,7 +31,7 @@ print(f"{len(prefixes)} subtrees at depth 2; merged == sequential:",
       parallel == sequential)
 
 print()
-print("== timing the pruned monoid search ==")
+print("== timing the monoid count ==")
 for n in (6, 7):
     t0 = time.time()
     r = enumerate_tables(SearchConfig(n=n))

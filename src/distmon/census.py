@@ -1,16 +1,63 @@
-"""Exhaustive census of distance monoids by pruned backtracking, and exact
-magma counts by a row-transfer DP.
+"""Exhaustive census of distance monoids, and exact magma counts by a
+row-transfer DP.
 
-Tables are generated by filling the upper-triangle cells (1,1), (1,2), ...,
-(1,n), (2,2), ..., (n,n) in row-major order.  Cell (i, j) ranges over
-[max(j, left neighbor, upper neighbor), n], which builds positivity and
-monotonicity (and, with the mirrored write, symmetry) into the tree itself:
-the magma tree has exactly one leaf per magma.
+Monoids are counted by growing each one from its truncation whenever no
+table is emitted, and walked cell by cell when they are.
 
-One walker, _walk(), visits that tree.  It keeps its own stack (one level
-per cell) instead of recursing, so its cost does not depend on how deep
-the caller's Python stack is, and it runs every check inline from
-offsets precomputed per cell.  Two switches select what it does:
+Truncation.  Let M be a distance monoid on 0..m and q = m - 1.  Its
+truncation P is 0..q with x +' y = min(x + y, q).  The cap min(x, q) is
+a homomorphism from M onto P: m + y = m for y >= 1 by positivity, so both
+sides cap to q whenever an argument is m.  P is therefore associative,
+and it keeps the identity, symmetry, monotonicity and positivity: it is a
+distance monoid on q elements, and every M has exactly one parent P.
+
+Children.  A table on m elements truncates to P exactly when its cells
+with P[x][y] < q keep that value, its cells with P[x][y] = q hold q or m,
+and row and column m hold m.  Write X[x][y] for "x + y = m".  The table
+is monotone iff X is a symmetric up-set inside {P = q}, so row r = 1..q
+takes one decision, the column u_r >= r where its m-cells start, with
+u_r <= max(u_{r-1}, r).  It is associative iff, for every a <= b <= c,
+the bracketings (a+b)+c, (a+c)+b and (b+c)+a agree.  All three cap to
+the same P-sum, and a P-sum below q is exact, so only triples with P-sum
+q are checked, each bracketing being q or m.  (a+b)+c is m iff
+X[P[a][b]][c] when P[a][b] < q; when P[a][b] = q, a + b is q or m and
+(a+b)+c is m iff X[a][b] or X[q][c], which is X[q][c] because X is an
+up-set and c >= a.  These equations between bits are built once per
+parent as bitmask tests and each is checked at the last row it involves,
+so every child of P is produced once and nothing else is.
+
+Complexity.  arch is the least k such that every r >= 1 absorbs reach(r,
+k), the sums of k elements >= r (analysis._arch_threshold).  reach(r,
+k+1) lies in reach(r, k) (add the last two summands first), and the cap
+maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
+* arch(M) >= p: absorption in M caps to absorption in P.
+* arch(M) <= p + 1, and only s = q can fail to be absorbed at level p:
+  take r <= q and s < m in reach_M(r, p).  If s < q then r + s caps to
+  r +' s = s < q, so r + s = s.  So at level p + 1 take s = q = x + y
+  with x >= r and y in reach_M(r, p): if y < q then r + y = y and r + q
+  = x + (r + y) = q; if y = q then r + q <= x + q = q.
+* So arch(M) = p + 1 iff r + q = m for some r with q in reach_M(r, p).
+  The r with r + q = m are those >= tau, the least such r, and reach
+  shrinks as r grows, so the test is q in reach_M(tau, p): q = s + y with
+  s in reach_M(tau, p - 1) (reach(., 0) = {0}) and y >= tau.  s = q is
+  impossible, since q + y = m, so s < q lies in reach_P(tau, p - 1), and
+  s + y = q says P[s][y] = q with X[s][y] = 0.  Those cells (s, y) form
+  one mask per tau, computed once per parent, and a leaf tests it against
+  its own m-cells.
+The levels m = 1..n are grown depth-first from an explicit stack.  With
+job_count > 1 the monoids on n - 3 elements are grown in a process pool,
+one task each, and merged in task order.
+
+The walker.  Emitted tables come from filling the upper-triangle cells
+(1,1), (1,2), ..., (1,n), (2,2), ..., (n,n) in row-major order.  Cell (i,
+j) ranges over [max(j, left neighbor, upper neighbor), n], which builds
+positivity and monotonicity (and, with the mirrored write, symmetry)
+into the tree itself: the magma tree has exactly one leaf per magma.
+
+_walk() visits that tree.  It keeps its own stack (one level per cell)
+instead of recursing, so its cost does not depend on how deep the
+caller's Python stack is, and it runs every check inline from offsets
+precomputed per cell.  Two switches select what it does:
 
 * `stop`: the number of cells to fill.  A full walk yields every table;
   a walk that stops at depth d yields the prefixes partition_work() hands
@@ -26,6 +73,8 @@ offsets precomputed per cell.  Two switches select what it does:
   row r is placed, row r's absorption masks are computed once
   (analysis._row_masks), so a leaf runs only the threshold loop.
 
+The walker emits, and it is the truncation census's test oracle.
+
 Magmas are counted without visiting their leaves: the number of ways to
 complete rows i..n depends only on row i-1's cells at columns i..n, so
 count_magmas() carries a count per such row profile from row to row.  The
@@ -36,7 +85,7 @@ DP's test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
+from multiprocessing import Pool, get_context
 from typing import Iterator
 
 from .analysis import _arch_threshold, _row_masks
@@ -316,53 +365,238 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
 
 
 def _run_prefix(args: tuple) -> tuple[dict[int, int], list[AdditionTable]]:
-    """Worker entry point: the monoid pass for one prefix, plus the magma
-    walk when magma tables are to be emitted."""
-    n, prefix, want_magmas, arch_filter, emit = args
-    by_arch, emitted = _monoid_subtree(n, prefix, emit and not want_magmas, arch_filter)
-    if want_magmas and emit:
+    """Worker entry point of the emitting census: the monoid walk for one
+    prefix, plus the magma walk when magma tables are emitted."""
+    n, prefix, want_magmas, arch_filter = args
+    by_arch, emitted = _monoid_subtree(n, prefix, not want_magmas, arch_filter)
+    if want_magmas:
         emitted = _magma_subtree(n, prefix, True)[1]
     return by_arch, emitted
+
+
+def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Bit masks shared by every parent with m - 1 elements: bit[x][y] is
+    the bit of cell {x, y} (x, y < m), and span[s][t] covers cells (s, y)
+    for y = t..m-1 (span[s][m] = 0)."""
+    bit = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(x, m):
+            bit[x][y] = bit[y][x] = 1 << (x * m + y)
+    span = [[0] * (m + 1) for _ in range(m)]
+    for s in range(m):
+        for t in range(m - 1, -1, -1):
+            span[s][t] = span[s][t + 1] | bit[s][t]
+    return bit, span
+
+
+def _grow(
+    n: int,
+    root: tuple[int, list[int], int],
+    counts: list[dict[int, int]],
+    keep: bool = False,
+) -> list[tuple[bytes, int]]:
+    """Add every descendant of `root`, a (level, table, arch) triple below
+    n elements, to counts[level][arch].  With `keep`, also return the
+    descendants on n elements as (table, arch) pairs in visit order.
+
+    Tables are flat: a monoid on q elements is (q+1) x (q+1), row-major.  Each
+    popped parent P of complexity p on q = m - 1 elements has its children
+    on m elements found by a DFS over rows; all of it runs inline in this
+    one frame, so the cost does not depend on the caller's stack depth.
+    """
+    masks = {m: _level_bits(m) for m in range(root[0] + 1, n + 1)}
+    kept = []
+    stack = [root]
+    while stack:
+        level, P, p = stack.pop()
+        m = level + 1
+        q = level
+        bit, span = masks[m]
+        tally = counts[m]
+        # g[d]: the first column where row d of P reaches q
+        g = [q] * m
+        for d in range(1, m):
+            c = 1
+            while P[d * m + c] != q:
+                c += 1
+            g[d] = c
+        # equations bool(X & Ma) == bool(X & Mb) between bracketings of the
+        # triples a <= b <= c with P-sum q, keyed by the last row they
+        # involve (a bracketing equal to another by commutativity is
+        # skipped).  (x+y)+z with P[x][y] = q is m iff X[x][y] or X[q][z],
+        # which is X[q][z] when z >= min(x, y)
+        pairs = set()
+        bq = bit[q]
+        for a in range(1, m):
+            for b in range(a, m):
+                ab = P[a * m + b]
+                e1s = bit[ab] if ab < q else bq
+                c0 = g[ab]
+                for c in range(b if b > c0 else c0, m):
+                    e1 = e1s[c]
+                    if b < c:
+                        ac = P[a * m + c]
+                        e2 = bit[ac][b] if ac < q else bq[b]
+                        if e1 != e2:
+                            pairs.add((e1, e2) if e1 < e2 else (e2, e1))
+                    if a < b:
+                        bc = P[b * m + c]
+                        e3 = bit[bc][a] if bc < q else bit[b][c] | bq[a]
+                        if e1 != e3:
+                            pairs.add((e1, e3) if e1 < e3 else (e3, e1))
+        # (a loop, not a comprehension: that would be a call per parent)
+        eqs: list[list[tuple[int, int]]] = []
+        for _ in range(m):
+            eqs.append([])
+        for pair in pairs:
+            eqs[((pair[0] | pair[1]).bit_length() - 1) // m].append(pair)
+        # per row r: threshold u[r] in [max(g[r], r), top[r]] (m: no
+        # m-cells), the m-cells of rows 1..r as X[r], and tau[r], the first
+        # row so far with r + q = m; free[tau] is computed on first use
+        free = [-1] * m
+        u = [m] * m
+        X = [0] * m
+        tau = [0] * m
+        top = [m] * m
+        r = 1
+        t = g[1]
+        while r:
+            if t > top[r]:
+                r -= 1
+                t = u[r] + 1
+                continue
+            mask = X[r - 1] | span[r][t]
+            for Ma, Mb in eqs[r]:
+                if (not mask & Ma) != (not mask & Mb):
+                    break
+            else:
+                u[r] = t
+                tr = tau[r - 1] or (r if t < m else 0)
+                if r < q:
+                    X[r] = mask
+                    tau[r] = tr
+                    r += 1
+                    top[r] = t if t > r else r
+                    t = g[r] if g[r] > r else r
+                    continue
+                # a child: its complexity is p + 1 iff some cell (s, y) with
+                # s < q in reach_P(tau, p - 1), y >= tau and P[s][y] = q is
+                # not an m-cell; for p = 1 the cell (0, q), never an m-cell,
+                # stands for s = 0
+                arch = p
+                if tr:
+                    cells = free[tr]
+                    if cells < 0:
+                        if p == 1:
+                            cells = span[0][q]
+                        else:
+                            reach = ((1 << m) - 1) >> tr << tr
+                            for _ in range(p - 2):
+                                acc = 0
+                                rest = reach
+                                while rest:
+                                    low = rest & -rest
+                                    row = (low.bit_length() - 1) * m
+                                    for w in range(tr, m):
+                                        acc |= 1 << P[row + w]
+                                    rest ^= low
+                                if acc == reach:
+                                    break
+                                reach = acc
+                            cells = 0
+                            for s in range(1, q):
+                                if reach >> s & 1:
+                                    cells |= span[s][g[s] if g[s] > tr else tr]
+                        free[tr] = cells
+                    if cells & ~mask:
+                        arch = p + 1
+                tally[arch] = tally.get(arch, 0) + 1
+                if m < n or keep:
+                    N1 = m + 1
+                    T = [m] * (N1 * N1)
+                    for x in range(m):
+                        T[x * N1 : x * N1 + m] = P[x * m : x * m + m]
+                    for x in range(1, m):
+                        for y in range(u[x], m):
+                            T[x * N1 + y] = T[y * N1 + x] = m
+                    if m < n:
+                        stack.append((m, T, arch))
+                    else:
+                        kept.append((bytes(T), arch))
+            t += 1
+    return kept
+
+
+def _grow_task(args: tuple) -> list[dict[int, int]]:
+    """Worker entry point: count the descendants of one monoid up to n."""
+    n, root = args
+    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    _grow(n, root, counts)
+    return counts
+
+
+# the one monoid on one element, 1 + 1 = 1, as (level, table, arch)
+_ROOT = (1, [0, 1, 1, 1], 1)
+
+
+def _truncation_counts(n: int, job_count: int) -> list[dict[int, int]]:
+    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1)."""
+    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    counts[1][1] = 1
+    split = n - 3
+    if job_count == 1 or split < 2:
+        if n > 1:
+            _grow(n, _ROOT, counts)
+        return counts
+    tasks = [(n, (split, T, arch)) for T, arch in _grow(split, _ROOT, counts, keep=True)]
+    with get_context("spawn").Pool(processes=job_count) as pool:
+        for part in pool.imap(_grow_task, tasks, chunksize=1):
+            for level in range(split + 1, n + 1):
+                tally = counts[level]
+                for arch, count in part[level].items():
+                    tally[arch] = tally.get(arch, 0) + count
+    return counts
 
 
 def enumerate_tables(config: SearchConfig) -> CensusResult:
     """Run the census described by `config`.
 
-    Monoid statistics (monoid_count, by_arch) are always computed via the
-    pruned search.  magma_count is computed only when want_magmas is set,
-    by count_magmas() in this process.  Emission collects magmas when
+    Monoid statistics (monoid_count, by_arch) come from the truncation
+    census when nothing is emitted, and from the pruned walk otherwise.
+    magma_count is computed only when want_magmas is set, by
+    count_magmas() in this process.  Emission collects magmas when
     want_magmas (by walking every magma), else monoids, restricted by
     arch_filter when given.  Results are independent of job_count and
-    prefix_depth.
+    prefix_depth, which partitions only the emitting walk.
     """
     n = config.n
     check_scale("monoid census n", n, MONOID_GUARD, config.scale_override)
     if config.want_magmas:
         check_scale("magma census n", n, MAGMA_GUARD, config.scale_override)
 
-    depth = config.prefix_depth
-    if depth == 0 and config.job_count > 1:
-        depth = min(2, n * (n + 1) // 2)
-    if depth == 0:
-        prefixes = [()]
-    else:
-        prefixes = partition_work(replace(config, prefix_depth=depth))
-
-    tasks = [
-        (n, p, config.want_magmas, config.arch_filter, config.emit) for p in prefixes
-    ]
-    if config.job_count == 1 or len(tasks) == 1:
-        parts = [_run_prefix(t) for t in tasks]
-    else:
-        with Pool(processes=config.job_count) as pool:
-            parts = pool.map(_run_prefix, tasks)
-
     by_arch: dict[int, int] = {}
     emitted: list[AdditionTable] = []
-    for part_arch, part_emitted in parts:
-        for k, v in part_arch.items():
-            by_arch[k] = by_arch.get(k, 0) + v
-        emitted.extend(part_emitted)
+    if not config.emit:
+        by_arch = _truncation_counts(n, config.job_count)[n]
+    else:
+        depth = config.prefix_depth
+        if depth == 0 and config.job_count > 1:
+            depth = min(2, n * (n + 1) // 2)
+        if depth == 0:
+            prefixes = [()]
+        else:
+            prefixes = partition_work(replace(config, prefix_depth=depth))
+
+        tasks = [(n, p, config.want_magmas, config.arch_filter) for p in prefixes]
+        if config.job_count == 1 or len(tasks) == 1:
+            parts = [_run_prefix(t) for t in tasks]
+        else:
+            with Pool(processes=config.job_count) as pool:
+                parts = pool.map(_run_prefix, tasks)
+        for part_arch, part_emitted in parts:
+            for k, v in part_arch.items():
+                by_arch[k] = by_arch.get(k, 0) + v
+            emitted.extend(part_emitted)
 
     by_arch = dict(sorted(by_arch.items()))
     return CensusResult(
@@ -377,14 +611,13 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
 def dm_table(
     n_max: int, scale_override: bool = False, job_count: int = 1
 ) -> list[list[int]]:
-    """Rows n = 1..n_max of monoid counts by complexity k = 1..n."""
-    rows = []
-    for n in range(1, n_max + 1):
-        result = enumerate_tables(
-            SearchConfig(n=n, job_count=job_count, scale_override=scale_override)
-        )
-        rows.append([result.by_arch.get(k, 0) for k in range(1, n + 1)])
-    return rows
+    """Rows n = 1..n_max of monoid counts by complexity k = 1..n, all read
+    from one truncation census up to n_max."""
+    if n_max < 1:
+        return []
+    check_scale("monoid census n", n_max, MONOID_GUARD, scale_override)
+    counts = _truncation_counts(n_max, job_count)
+    return [[counts[n].get(k, 0) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
 
 
 def dm_table_csv(rows: list[list[int]]) -> str:

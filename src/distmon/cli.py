@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from fractions import Fraction
 
 from . import analysis, audit, builders, census, formulas, table
-from .errors import NotAssociativeError, check_scale
+from .errors import NotAssociativeError, ScaleGuardError, check_scale
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
 
-# Largest |exponent| a --values token may carry: Fraction("1e<x>") builds
-# 10^x in full, so the bound is Python's own int-digit limit.
-_MAX_VALUE_EXPONENT = 4300
+# Python's own int-digit limit.  It bounds the |exponent| a --values token
+# may carry (Fraction("1e<x>") builds 10^x in full) and the digits of a
+# formula value.
+_MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)$", re.IGNORECASE)
 
 
@@ -99,6 +101,14 @@ def _cmd_formula(args) -> int:
     elif kind == "lower-bound":
         value = formulas.lower_bound(args.n, args.k)
     else:  # a-chains
+        # (k+1)^(n-1) could not be printed past Python's int-digit limit,
+        # so refuse before building it
+        digits = (args.n - 1) * math.log10(args.k + 1) if args.n > 1 and args.k > 0 else 0
+        if digits >= _MAX_DIGITS:
+            raise ScaleGuardError(
+                f"formula a-chains: (k+1)^(n-1) has more than {_MAX_DIGITS} digits "
+                "(the integer-printing guard)"
+            )
         value = formulas.count_A_chains(args.n, args.k)
     print(value)
     return 0
@@ -108,9 +118,9 @@ def _parse_values(text: str) -> list[Fraction]:
     tokens = [part.strip() for part in text.split(",") if part.strip()]
     for token in tokens:
         exponent = _EXPONENT.search(token)
-        if exponent and abs(int(exponent[1])) > _MAX_VALUE_EXPONENT:
+        if exponent and abs(int(exponent[1])) > _MAX_DIGITS:
             raise ValueError(
-                f"--values: {token!r} has an exponent beyond +-{_MAX_VALUE_EXPONENT}"
+                f"--values: {token!r} has an exponent beyond +-{_MAX_DIGITS}"
             )
     try:
         return [Fraction(token) for token in tokens]
@@ -215,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None, help="write every table as a JSON file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--prefix-depth", type=int, default=0)
+    p.add_argument(
+        "--prefix-depth",
+        type=int,
+        default=0,
+        help="split the emitting walk into subtrees at this many cells (with --emit only)",
+    )
     p.add_argument("--dm-table", action="store_true", help="emit CSV of counts by (n, complexity) for 1..n")
     p.add_argument("--csv", metavar="FILE", default=None, help="with --dm-table, write CSV here")
     p.set_defaults(func=_cmd_census)

@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 
 from distmon.analysis import arch_complexity
+from distmon import census
 from distmon.census import (
     SearchConfig,
+    _grow,
     _magma_subtree,
+    _monoid_subtree,
     _rows,
     _walk,
     count_magmas,
@@ -209,6 +212,72 @@ class TestWalk:
             list(_walk(3, (4,), _ncells(3), False))
 
 
+# README "Recorded results", monoids by complexity k = 1..n
+RECORDED_ROWS = {
+    6: [1, 202, 183, 54, 10, 1],
+    7: [1, 876, 1060, 359, 77, 12, 1],
+    8: [1, 4139, 6495, 2462, 558, 105, 14, 1],
+    9: [1, 21146, 42489, 17737, 4052, 838, 137, 16, 1],
+}
+
+
+def _truncate(rows, m):
+    """The truncation of a monoid on m elements: 0..m-1, sums capped at m-1."""
+    return tuple(tuple(min(v, m - 1) for v in row[:m]) for row in rows[:m])
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_by_arch_equals_walk(self, n):
+        walked = dict(sorted(_monoid_subtree(n, (), False, None)[0].items()))
+        assert enumerate_tables(SearchConfig(n=n)).by_arch == walked
+
+    def test_n9_on_two_jobs_equals_recorded_row(self):
+        result = enumerate_tables(SearchConfig(n=9, job_count=2, scale_override=True))
+        assert [result.by_arch.get(k, 0) for k in range(1, 10)] == RECORDED_ROWS[9]
+        assert result.monoid_count == 86417
+
+    @staticmethod
+    def _children(P, m, p):
+        """(rows, arch) of the children the truncation census grows from P."""
+        counts = [{} for _ in range(m + 1)]
+        return [(_rows(T, m), arch) for T, arch in _grow(m, (m - 1, P, p), counts, keep=True)]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_children_are_the_walk_monoids_truncating_to_parent(self, m):
+        by_parent = {}
+        for _, T in _walk(m, (), _ncells(m), True):
+            rows = _rows(T, m)
+            by_parent.setdefault(_truncate(rows, m), []).append(rows)
+        for p, T in _walk(m - 1, (), _ncells(m - 1), True):
+            P = list(T)
+            kids = [rows for rows, _ in self._children(P, m, p)]
+            assert len(set(kids)) == len(kids)
+            assert sorted(kids) == sorted(by_parent.pop(_rows(P, m - 1), []))
+        assert not by_parent  # every monoid on m elements has a parent
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_leaf_rule_equals_arch_complexity(self, m):
+        seen = 0
+        for p, T in _walk(m - 1, (), _ncells(m - 1), True):
+            for rows, arch in self._children(list(T), m, p):
+                assert arch == arch_complexity(AdditionTable(m, rows))
+                seen += 1
+        assert seen == [1, 2, 6, 22, 94, 451, 2386][m - 1]
+
+    @pytest.mark.parametrize("want_magmas", [False, True])
+    def test_independent_of_jobs_depth_and_caller_stack(self, want_magmas):
+        base = enumerate_tables(SearchConfig(n=7, want_magmas=want_magmas))
+        assert base.by_arch == dict(enumerate(RECORDED_ROWS[7], start=1))
+        for jobs in (1, 2):
+            for depth in (0, 2, 5):
+                config = SearchConfig(
+                    n=7, want_magmas=want_magmas, job_count=jobs, prefix_depth=depth
+                )
+                assert enumerate_tables(config) == base
+                assert _at_depth(300, lambda: enumerate_tables(config)) == base
+
+
 class TestPartitioning:
     def test_prefixes_n3_depth1(self):
         assert partition_work(SearchConfig(n=3, prefix_depth=1)) == [(1,), (2,), (3,)]
@@ -272,6 +341,28 @@ class TestSandwich:
 class TestDmTable:
     def test_small(self):
         assert dm_table(2) == [[1], [1, 1]]
+
+    @pytest.mark.parametrize("job_count", [1, 2])
+    def test_csv_equals_recorded_rows(self, job_count):
+        rows = {n: [MONOID_BY_ARCH[n][k] for k in range(1, n + 1)] for n in range(1, 6)}
+        rows.update((n, RECORDED_ROWS[n]) for n in (6, 7, 8))
+        expected = "n,k,count\n" + "".join(
+            f"{n},{k},{count}\n"
+            for n in range(1, 9)
+            for k, count in enumerate(rows[n], start=1)
+        )
+        assert dm_table_csv(dm_table(8, job_count=job_count)) == expected
+
+    def test_one_census_for_every_row(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("dm_table ran a census per row")
+
+        monkeypatch.setattr(census, "enumerate_tables", refuse)
+        assert dm_table(5)[4] == [1, 51, 33, 8, 1]
+
+    def test_scale_guard(self):
+        with pytest.raises(ScaleGuardError):
+            dm_table(9)
 
     def test_row5(self):
         rows = dm_table(5)

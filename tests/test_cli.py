@@ -176,6 +176,7 @@ class TestFormula:
             ["formula", "stirling2", "--n", "100000", "--k", "3"],
             ["formula", "lower-bound", "--n", "2000000", "--k", "1000000"],
             ["formula", "a-chains", "--n", "100000000", "--k", "2"],
+            ["formula", "a-chains", "--n", "1000", "--k", "9" * 4000],
         ],
     )
     def test_scale_guard(self, capsys, argv):
@@ -185,6 +186,14 @@ class TestFormula:
         assert code == 2
         assert out == ""
         assert "guard" in err and "Traceback" not in err
+
+    def test_a_chains_digit_limit(self, capsys, monkeypatch):
+        # 10^4299 has 4300 digits and prints; 10^4300 would not
+        monkeypatch.setenv("DISTMON_SCALE_OVERRIDE", "1")
+        code, out, _ = run(capsys, "formula", "a-chains", "--n", "4300", "--k", "9")
+        assert code == 0 and out.strip() == "1" + "0" * 4299
+        code, out, err = run(capsys, "formula", "a-chains", "--n", "4301", "--k", "9")
+        assert code == 2 and out == "" and "guard" in err
 
 
 class TestBuild:
