@@ -1,11 +1,10 @@
 """Exhaustive census: every magma/monoid of a given size, counted exactly.
 
-Counts grow each monoid from its truncation (the monoid one element
-smaller, with sums capped at its top), deciding only where the new top
-appears.  Emitted tables come from a walk that fills the upper triangle
-cell by cell; positivity and monotonicity are built into each cell's
-range, and associativity is checked incrementally so dead subtrees die
-early.
+Monoids, counted or emitted, grow from their truncations (the monoid one
+element smaller, with sums capped at its top), deciding only where the new
+top appears.  Emitted magmas come from a walk that fills the upper
+triangle cell by cell; positivity and monotonicity are built into each
+cell's range.
 """
 
 import time
@@ -23,10 +22,12 @@ print(dm_table_csv(dm_table(6)), end="")
 
 print()
 print("== work splitting is exact, not approximate ==")
-config = SearchConfig(n=5, emit=True)
+config = SearchConfig(n=5, want_magmas=True, emit=True)
 sequential = enumerate_tables(config)
 prefixes = partition_work(SearchConfig(n=5, prefix_depth=2))
-parallel = enumerate_tables(SearchConfig(n=5, emit=True, job_count=2, prefix_depth=2))
+parallel = enumerate_tables(
+    SearchConfig(n=5, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
+)
 print(f"{len(prefixes)} subtrees at depth 2; merged == sequential:",
       parallel == sequential)
 

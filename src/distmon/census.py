@@ -1,8 +1,8 @@
 """Exhaustive census of distance monoids, and exact magma counts by a
 row-transfer DP.
 
-Monoids are counted by growing each one from its truncation whenever no
-table is emitted, and walked cell by cell when they are.
+Monoids are counted and emitted by growing each one from its truncation.
+Magma tables are emitted by walking them cell by cell.
 
 Truncation.  Let M be a distance monoid on 0..m and q = m - 1.  Its
 truncation P is 0..q with x +' y = min(x + y, q).  The cap min(x, q) is
@@ -48,7 +48,14 @@ The levels m = 1..n are grown depth-first from an explicit stack.  With
 job_count > 1 the monoids on n - 3 elements are grown in a process pool,
 one task each, and merged in task order.
 
-The walker.  Emitted tables come from filling the upper-triangle cells
+Emitted monoids are the level-n tables sorted by their bytes, which is the
+walker's visit order: the walker orders tables lexicographically by their
+upper-triangle cells in row-major order, and in the flat row-major table
+every entry below the diagonal mirrors an earlier upper cell, so the first
+byte where two tables differ is their first differing upper cell.  The
+order is global, so it does not depend on job_count.
+
+The walker.  Magma tables come from filling the upper-triangle cells
 (1,1), (1,2), ..., (1,n), (2,2), ..., (n,n) in row-major order.  Cell (i,
 j) ranges over [max(j, left neighbor, upper neighbor), n], which builds
 positivity and monotonicity (and, with the mirrored write, symmetry)
@@ -73,7 +80,8 @@ precomputed per cell.  Two switches select what it does:
   row r is placed, row r's absorption masks are computed once
   (analysis._row_masks), so a leaf runs only the threshold loop.
 
-The walker emits, and it is the truncation census's test oracle.
+The walker emits magmas, splits their walk for the pool, and is the
+truncation census's test oracle.
 
 Magmas are counted without visiting their leaves: the number of ways to
 complete rows i..n depends only on row i-1's cells at columns i..n, so
@@ -85,7 +93,7 @@ DP's test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from multiprocessing import Pool, get_context
+from multiprocessing import Pool
 from typing import Iterator
 
 from .analysis import _arch_threshold, _row_masks
@@ -315,29 +323,20 @@ def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
 
 
-def _monoid_subtree(
-    n: int,
-    prefix: tuple[int, ...],
-    emit: bool,
-    arch_filter: int | None,
-) -> tuple[dict[int, int], list[AdditionTable]]:
-    """Count (and optionally collect) all monoids extending `prefix`.
-
-    Returns ({arch: count}, emitted tables in visit order).
-    """
+def _monoid_subtree(n: int, prefix: tuple[int, ...]) -> dict[int, int]:
+    """{arch: count} over the monoids extending `prefix`, by the checked
+    walk: the truncation census's test oracle."""
     by_arch: dict[int, int] = {}
-    emitted: list[AdditionTable] = []
-    for arch, T in _walk(n, prefix, n * (n + 1) // 2, True):
+    for arch, _ in _walk(n, prefix, n * (n + 1) // 2, True):
         by_arch[arch] = by_arch.get(arch, 0) + 1
-        if emit and (arch_filter is None or arch == arch_filter):
-            emitted.append(AdditionTable(n, _rows(T, n)))
-    return by_arch, emitted
+    return by_arch
 
 
 def _magma_subtree(
     n: int, prefix: tuple[int, ...], emit: bool
 ) -> tuple[int, list[AdditionTable]]:
-    """Count (and optionally collect) all magmas extending `prefix`."""
+    """Count (and optionally collect) all magmas extending `prefix`; the
+    magma-emitting census runs it once per prefix."""
     count = 0
     emitted: list[AdditionTable] = []
     for _, T in _walk(n, prefix, n * (n + 1) // 2, False):
@@ -362,16 +361,6 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
         tuple(T[o] for o in offsets)
         for _, T in _walk(n, (), config.prefix_depth, False)
     ]
-
-
-def _run_prefix(args: tuple) -> tuple[dict[int, int], list[AdditionTable]]:
-    """Worker entry point of the emitting census: the monoid walk for one
-    prefix, plus the magma walk when magma tables are emitted."""
-    n, prefix, want_magmas, arch_filter = args
-    by_arch, emitted = _monoid_subtree(n, prefix, not want_magmas, arch_filter)
-    if want_magmas:
-        emitted = _magma_subtree(n, prefix, True)[1]
-    return by_arch, emitted
 
 
 def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -527,58 +516,73 @@ def _grow(
     return kept
 
 
-def _grow_task(args: tuple) -> list[dict[int, int]]:
-    """Worker entry point: count the descendants of one monoid up to n."""
-    n, root = args
+def _grow_task(args: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
+    """Worker entry point: count the descendants of one monoid up to n, and
+    with `keep` return those on n elements too."""
+    n, root, keep = args
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    _grow(n, root, counts)
-    return counts
+    return counts, _grow(n, root, counts, keep)
 
 
 # the one monoid on one element, 1 + 1 = 1, as (level, table, arch)
 _ROOT = (1, [0, 1, 1, 1], 1)
 
 
-def _truncation_counts(n: int, job_count: int) -> list[dict[int, int]]:
-    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1)."""
+def _truncation_counts(
+    n: int, job_count: int, keep: bool = False
+) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
+    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
+    with `keep` the monoids on n elements as (table, arch) pairs in the
+    walker's visit order (the order of their table bytes)."""
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
     counts[1][1] = 1
+    kept = [(bytes(_ROOT[1]), 1)] if keep and n == 1 else []
     split = n - 3
     if job_count == 1 or split < 2:
         if n > 1:
-            _grow(n, _ROOT, counts)
-        return counts
-    tasks = [(n, (split, T, arch)) for T, arch in _grow(split, _ROOT, counts, keep=True)]
-    with get_context("spawn").Pool(processes=job_count) as pool:
-        for part in pool.imap(_grow_task, tasks, chunksize=1):
-            for level in range(split + 1, n + 1):
-                tally = counts[level]
-                for arch, count in part[level].items():
-                    tally[arch] = tally.get(arch, 0) + count
-    return counts
+            kept = _grow(n, _ROOT, counts, keep)
+    else:
+        tasks = [
+            (n, (split, T, arch), keep)
+            for T, arch in _grow(split, _ROOT, counts, keep=True)
+        ]
+        with Pool(processes=job_count) as pool:
+            for part, part_kept in pool.imap(_grow_task, tasks, chunksize=1):
+                for level in range(split + 1, n + 1):
+                    tally = counts[level]
+                    for arch, count in part[level].items():
+                        tally[arch] = tally.get(arch, 0) + count
+                kept += part_kept
+    kept.sort()
+    return counts, kept
 
 
 def enumerate_tables(config: SearchConfig) -> CensusResult:
     """Run the census described by `config`.
 
-    Monoid statistics (monoid_count, by_arch) come from the truncation
-    census when nothing is emitted, and from the pruned walk otherwise.
-    magma_count is computed only when want_magmas is set, by
-    count_magmas() in this process.  Emission collects magmas when
-    want_magmas (by walking every magma), else monoids, restricted by
-    arch_filter when given.  Results are independent of job_count and
-    prefix_depth, which partitions only the emitting walk.
+    Monoid statistics (monoid_count, by_arch) always come from the
+    truncation census.  magma_count is computed only when want_magmas is
+    set, by count_magmas() in this process.  Emission collects monoids
+    from the same truncation census, restricted by arch_filter when given,
+    or, when want_magmas, magmas from the unchecked walk, split at
+    prefix_depth cells.  Results are independent of job_count and
+    prefix_depth.
     """
     n = config.n
     check_scale("monoid census n", n, MONOID_GUARD, config.scale_override)
     if config.want_magmas:
         check_scale("magma census n", n, MAGMA_GUARD, config.scale_override)
 
-    by_arch: dict[int, int] = {}
-    emitted: list[AdditionTable] = []
-    if not config.emit:
-        by_arch = _truncation_counts(n, config.job_count)[n]
-    else:
+    emit_monoids = config.emit and not config.want_magmas
+    counts, kept = _truncation_counts(n, config.job_count, keep=emit_monoids)
+    emitted = None
+    if emit_monoids:
+        emitted = tuple(
+            AdditionTable(n, _rows(T, n))
+            for T, arch in kept
+            if config.arch_filter is None or arch == config.arch_filter
+        )
+    elif config.emit:
         depth = config.prefix_depth
         if depth == 0 and config.job_count > 1:
             depth = min(2, n * (n + 1) // 2)
@@ -586,25 +590,21 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
             prefixes = [()]
         else:
             prefixes = partition_work(replace(config, prefix_depth=depth))
-
-        tasks = [(n, p, config.want_magmas, config.arch_filter) for p in prefixes]
+        tasks = [(n, p, True) for p in prefixes]
         if config.job_count == 1 or len(tasks) == 1:
-            parts = [_run_prefix(t) for t in tasks]
+            parts = [_magma_subtree(*t) for t in tasks]
         else:
             with Pool(processes=config.job_count) as pool:
-                parts = pool.map(_run_prefix, tasks)
-        for part_arch, part_emitted in parts:
-            for k, v in part_arch.items():
-                by_arch[k] = by_arch.get(k, 0) + v
-            emitted.extend(part_emitted)
+                parts = pool.starmap(_magma_subtree, tasks)
+        emitted = tuple(t for _, part in parts for t in part)
 
-    by_arch = dict(sorted(by_arch.items()))
+    by_arch = dict(sorted(counts[n].items()))
     return CensusResult(
         n=n,
         magma_count=count_magmas(n) if config.want_magmas else None,
         monoid_count=sum(by_arch.values()),
         by_arch=by_arch,
-        emitted=tuple(emitted) if config.emit else None,
+        emitted=emitted,
     )
 
 
@@ -616,7 +616,7 @@ def dm_table(
     if n_max < 1:
         return []
     check_scale("monoid census n", n_max, MONOID_GUARD, scale_override)
-    counts = _truncation_counts(n_max, job_count)
+    counts = _truncation_counts(n_max, job_count)[0]
     return [[counts[n].get(k, 0) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
 
 

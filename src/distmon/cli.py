@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prefix-depth",
         type=int,
         default=0,
-        help="split the emitting walk into subtrees at this many cells (with --emit only)",
+        help="split the magma walk into subtrees at this many cells (with --magmas --emit only)",
     )
     p.add_argument("--dm-table", action="store_true", help="emit CSV of counts by (n, complexity) for 1..n")
     p.add_argument("--csv", metavar="FILE", default=None, help="with --dm-table, write CSV here")

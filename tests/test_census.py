@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import product
 
@@ -229,7 +230,7 @@ def _truncate(rows, m):
 class TestTruncation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_by_arch_equals_walk(self, n):
-        walked = dict(sorted(_monoid_subtree(n, (), False, None)[0].items()))
+        walked = dict(sorted(_monoid_subtree(n, ()).items()))
         assert enumerate_tables(SearchConfig(n=n)).by_arch == walked
 
     def test_n9_on_two_jobs_equals_recorded_row(self):
@@ -276,6 +277,52 @@ class TestTruncation:
                 )
                 assert enumerate_tables(config) == base
                 assert _at_depth(300, lambda: enumerate_tables(config)) == base
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_monoids(n):
+    """(arch, rows) of every monoid on n elements, in the walker's order."""
+    return tuple((arch, _rows(T, n)) for arch, T in _walk(n, (), _ncells(n), True))
+
+
+class TestEmission:
+    """Emitted monoids come from the truncation census; the walker is the
+    oracle for their tables, their order and their arch filter."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_tables_and_order_equal_walk(self, n, jobs, depth):
+        walked = _walk_monoids(n)
+        depth = min(depth, _ncells(n))
+        for arch_filter in [None, *range(1, n + 1)]:
+            config = SearchConfig(
+                n=n, emit=True, arch_filter=arch_filter, job_count=jobs, prefix_depth=depth
+            )
+            expected = [rows for arch, rows in walked if arch_filter in (None, arch)]
+            assert [t.entries for t in enumerate_tables(config).emitted] == expected
+
+    def test_n8_sequence_equals_walk(self):
+        emitted = enumerate_tables(SearchConfig(n=8, emit=True)).emitted
+        flat = [bytes(v for row in t.entries for v in row) for t in emitted]
+        assert flat == [bytes(T) for _, T in _walk(8, (), _ncells(8), True)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_magma_emission_unchanged(self, n):
+        by_arch = dict(sorted(_monoid_subtree(n, ()).items()))
+        magmas = _magma_subtree(n, (), True)[1]
+        for jobs in (1, 2):
+            for depth in (0, 2, 3):
+                config = SearchConfig(
+                    n=n,
+                    want_magmas=True,
+                    emit=True,
+                    job_count=jobs,
+                    prefix_depth=min(depth, _ncells(n)),
+                )
+                result = enumerate_tables(config)
+                assert result.by_arch == by_arch
+                assert result.emitted == tuple(magmas)
 
 
 class TestPartitioning:
