@@ -7,7 +7,8 @@ it only reports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .analysis import (
@@ -34,6 +35,9 @@ class CheckRecord:
     expected: str
     actual: str
     passed: bool
+    # seconds since the previous record (the first: since the censuses);
+    # a measurement, so neither compared nor serialized
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -48,6 +52,8 @@ class CheckRecord:
 @dataclass(frozen=True)
 class AuditReport:
     records: tuple[CheckRecord, ...]
+    # seconds spent in the monoid censuses the checks read (not the deep one)
+    census_s: float = field(default=0.0, compare=False)
 
     @property
     def overall(self) -> bool:
@@ -61,6 +67,16 @@ class AuditReport:
         return {
             "overall_pass": self.overall,
             "checks": [r.to_json_dict() for r in self.records],
+        }
+
+    def timings_json_dict(self) -> dict:
+        """Where the audit's time went, in seconds; kept out of to_json_dict."""
+        return {
+            "census_s": self.census_s,
+            "checks": [
+                {"check": r.name, "parameters": r.parameters, "elapsed_s": r.elapsed_s}
+                for r in self.records
+            ],
         }
 
 
@@ -81,9 +97,15 @@ def run_audit(
     records: list[CheckRecord] = []
 
     def add(name: str, parameters: dict, expected, actual) -> None:
+        nonlocal last
+        now = time.perf_counter()
         records.append(
-            CheckRecord(name, parameters, str(expected), str(actual), str(expected) == str(actual))
+            CheckRecord(
+                name, parameters, str(expected), str(actual),
+                str(expected) == str(actual), elapsed_s=now - last,
+            )
         )
+        last = now
 
     # magma counts come from the DP, attached to the monoid census of each n
     magma_top = n_max
@@ -105,7 +127,10 @@ def run_audit(
             result = census_hook(result)
         return result
 
+    start = time.perf_counter()
     monoid_census = {n: census(n) for n in range(1, n_max + 1)}
+    last = time.perf_counter()
+    census_s = last - start
 
     # (a) complexity-2 stratum vs formula vs Bell
     for n in range(2, n_max + 1):
@@ -207,4 +232,4 @@ def run_audit(
             deep_census.by_arch.get(DEEP_N - DEEP_K, 0),
         )
 
-    return AuditReport(tuple(records))
+    return AuditReport(tuple(records), census_s=census_s)

@@ -182,6 +182,8 @@ def _parse_indices(text: str) -> list[int]:
 def _cmd_audit(args) -> int:
     report = audit.run_audit(n_max=args.n_max, deep=args.deep, jobs=args.jobs)
     _print_json(report.to_json_dict())
+    if args.timings:
+        print(json.dumps(report.timings_json_dict()), file=sys.stderr)
     for rec in report.records:
         if rec.name.startswith("deep-"):
             status = "PASS" if rec.passed else "FAIL"
@@ -261,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--deep", action="store_true", help="include the n=9 long check")
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="print the census time and each check's elapsed seconds as JSON on stderr",
+    )
     p.set_defaults(func=_cmd_audit)
 
     return parser

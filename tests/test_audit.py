@@ -63,3 +63,18 @@ class TestFaultInjection:
         assert obj["overall_pass"] is True
         record = obj["checks"][0]
         assert set(record) == {"check", "parameters", "expected", "actual", "pass"}
+
+
+class TestTimings:
+    def test_times_are_recorded_but_not_compared(self):
+        report = run_audit(4)
+        assert report.census_s > 0
+        assert all(r.elapsed_s >= 0 for r in report.records)
+        assert sum(r.elapsed_s for r in report.records) > 0
+        stopped = replace(
+            report,
+            records=tuple(replace(r, elapsed_s=0.0) for r in report.records),
+            census_s=0.0,
+        )
+        assert stopped == report
+        assert stopped.to_json_dict() == report.to_json_dict()

@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -230,8 +231,11 @@ def _truncate(rows, m):
 class TestTruncation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_by_arch_equals_walk(self, n):
-        walked = dict(sorted(_monoid_subtree(n, ()).items()))
-        assert enumerate_tables(SearchConfig(n=n)).by_arch == walked
+        if n == 8:  # the one n = 8 walk, shared with TestEmission
+            walked = Counter(arch for arch, _ in _walk_monoids(8))
+        else:
+            walked = _monoid_subtree(n, ())
+        assert enumerate_tables(SearchConfig(n=n)).by_arch == dict(sorted(walked.items()))
 
     def test_n9_on_two_jobs_equals_recorded_row(self):
         result = enumerate_tables(SearchConfig(n=9, job_count=2, scale_override=True))
@@ -279,10 +283,15 @@ class TestTruncation:
                 assert _at_depth(300, lambda: enumerate_tables(config)) == base
 
 
+def _flat(t):
+    return bytes(v for row in t.entries for v in row)
+
+
 @functools.lru_cache(maxsize=None)
 def _walk_monoids(n):
-    """(arch, rows) of every monoid on n elements, in the walker's order."""
-    return tuple((arch, _rows(T, n)) for arch, T in _walk(n, (), _ncells(n), True))
+    """(arch, table bytes) of every monoid on n elements, in the checked
+    walk's order; each n is walked once per session (n = 8 takes about 2 s)."""
+    return tuple((arch, bytes(T)) for arch, T in _walk(n, (), _ncells(n), True))
 
 
 class TestEmission:
@@ -299,13 +308,12 @@ class TestEmission:
             config = SearchConfig(
                 n=n, emit=True, arch_filter=arch_filter, job_count=jobs, prefix_depth=depth
             )
-            expected = [rows for arch, rows in walked if arch_filter in (None, arch)]
-            assert [t.entries for t in enumerate_tables(config).emitted] == expected
+            expected = [T for arch, T in walked if arch_filter in (None, arch)]
+            assert [_flat(t) for t in enumerate_tables(config).emitted] == expected
 
     def test_n8_sequence_equals_walk(self):
         emitted = enumerate_tables(SearchConfig(n=8, emit=True)).emitted
-        flat = [bytes(v for row in t.entries for v in row) for t in emitted]
-        assert flat == [bytes(T) for _, T in _walk(8, (), _ncells(8), True)]
+        assert [_flat(t) for t in emitted] == [T for _, T in _walk_monoids(8)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_emission_unchanged(self, n):

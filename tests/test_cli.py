@@ -303,6 +303,18 @@ class TestAudit:
         assert len(report["checks"]) >= 8
         assert report["overall_pass"] is True
 
+    def test_timings_on_stderr_only(self, capsys):
+        _, plain_out, plain_err = run(capsys, "audit", "--n-max", "3")
+        code, out, err = run(capsys, "audit", "--n-max", "3", "--timings")
+        assert code == 0 and out == plain_out and plain_err == ""
+        timings = json.loads(err)
+        assert timings["census_s"] > 0
+        checks = json.loads(out)["checks"]
+        assert [(t["check"], t["parameters"]) for t in timings["checks"]] == [
+            (c["check"], c["parameters"]) for c in checks
+        ]
+        assert all(t["elapsed_s"] >= 0 for t in timings["checks"])
+
     def test_failed_audit_exits_1_with_record(self, capsys, monkeypatch):
         from distmon import audit as audit_module
         from distmon.audit import AuditReport, CheckRecord

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, strategies as st
 from distmon.errors import NotAssociativeError, TableFormatError
 from distmon.table import (
     AdditionTable,
+    _scan,
+    _screen,
+    _validate,
     capped_naturals,
+    dump,
     from_entries,
     from_upper_triangle,
     load,
@@ -140,12 +145,19 @@ class TestMultiple:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        from distmon.table import dump
-
         t = example_table()
         path = tmp_path / "t.json"
         dump(t, path)
         assert load(path) == t
+
+    def test_dump_bytes_equal_json_dump(self, census_cache, tmp_path):
+        path = tmp_path / "t.json"
+        for n in range(1, 6):
+            for t in census_cache(n).emitted:
+                dump(t, path)
+                text = io.StringIO()
+                json.dump(t.to_json_dict(), text)
+                assert path.read_bytes() == (text.getvalue() + "\n").encode("utf-8")
 
     def test_loads_rejects_ragged(self):
         with pytest.raises(TableFormatError):
@@ -234,84 +246,207 @@ EXAMPLE_NONASSOC_5 = [
 POSITIVITY_3 = [[0, 1, 2, 3], [1, 0, 1, 3], [2, 1, 2, 3], [3, 3, 3, 3]]
 
 
+VIOLATION_PINS = [
+    pytest.param(
+        [[1, 1, 2], [1, 1, 2], [2, 2, 2]], 32,
+        [("identity", (0, 0)), ("identity", (0, 0))],
+        id="identity",
+    ),
+    pytest.param(
+        [[0, 0, 0, 0], [1, 1, 2, 3], [0, 2, 2, 3], [3, 3, 3, 3]], 3,
+        [("identity", (0, 1)), ("identity", (0, 2)), ("identity", (2, 0))],
+        id="identity-cap",
+    ),
+    pytest.param(
+        [[0, 1, 2, 3], [1, 2, 2, 3], [2, 3, 2, 3], [3, 2, 3, 3]], 32,
+        [
+            ("symmetry", (1, 2)), ("symmetry", (1, 3)), ("positivity", (3, 1)),
+            ("monotonicity", (2, 2)), ("monotonicity", (3, 1)),
+            ("monotonicity", (3, 1)),
+        ],
+        id="symmetry",
+    ),
+    pytest.param(
+        [[0, 1, 2, 3, 4]] + [[i] * 5 for i in range(1, 5)], 4,
+        [
+            ("symmetry", (1, 2)), ("symmetry", (1, 3)),
+            ("symmetry", (1, 4)), ("symmetry", (2, 3)),
+        ],
+        id="symmetry-cap",
+    ),
+    pytest.param(
+        [[0, 1, 2, 3], [1, 1, 1, 3], [2, 2, 2, 3], [3, 3, 3, 3]], 32,
+        [("symmetry", (1, 2)), ("positivity", (1, 2)), ("monotonicity", (1, 2))],
+        id="positivity-asymmetric",
+    ),
+    pytest.param(
+        POSITIVITY_3, 32,
+        [
+            ("positivity", (1, 1)), ("positivity", (1, 2)),
+            ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
+            ("monotonicity", (1, 1)), ("monotonicity", (2, 1)),
+        ],
+        id="positivity",
+    ),
+    pytest.param(POSITIVITY_3, 1, [("positivity", (1, 1))], id="positivity-cap"),
+    pytest.param(
+        POSITIVITY_3, 4,
+        [
+            ("positivity", (1, 1)), ("positivity", (1, 2)),
+            ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
+        ],
+        id="monotonicity-cap",
+    ),
+    pytest.param(
+        [[0, 1, 2, 3], [1, 3, 2, 3], [2, 2, 3, 3], [3, 3, 3, 3]], 32,
+        [("monotonicity", (1, 2)), ("monotonicity", (2, 1))],
+        id="monotonicity",
+    ),
+    pytest.param(
+        [list(row) for row in NONASSOC_3.entries], 32,
+        [("associativity", (1, 1, 2))],
+        id="associativity",
+    ),
+    pytest.param(
+        EXAMPLE_NONASSOC_5, 3,
+        [
+            ("associativity", (1, 1, 3)), ("associativity", (1, 1, 4)),
+            ("associativity", (1, 2, 3)),
+        ],
+        id="associativity-cap",
+    ),
+]
+
+
 class TestViolationPins:
     """Exact violations, in order and with witnesses, of malformed tables."""
 
-    @pytest.mark.parametrize(
-        "rows,cap,expected",
-        [
-            pytest.param(
-                [[1, 1, 2], [1, 1, 2], [2, 2, 2]], 32,
-                [("identity", (0, 0)), ("identity", (0, 0))],
-                id="identity",
-            ),
-            pytest.param(
-                [[0, 0, 0, 0], [1, 1, 2, 3], [0, 2, 2, 3], [3, 3, 3, 3]], 3,
-                [("identity", (0, 1)), ("identity", (0, 2)), ("identity", (2, 0))],
-                id="identity-cap",
-            ),
-            pytest.param(
-                [[0, 1, 2, 3], [1, 2, 2, 3], [2, 3, 2, 3], [3, 2, 3, 3]], 32,
-                [
-                    ("symmetry", (1, 2)), ("symmetry", (1, 3)), ("positivity", (3, 1)),
-                    ("monotonicity", (2, 2)), ("monotonicity", (3, 1)),
-                    ("monotonicity", (3, 1)),
-                ],
-                id="symmetry",
-            ),
-            pytest.param(
-                [[0, 1, 2, 3, 4]] + [[i] * 5 for i in range(1, 5)], 4,
-                [
-                    ("symmetry", (1, 2)), ("symmetry", (1, 3)),
-                    ("symmetry", (1, 4)), ("symmetry", (2, 3)),
-                ],
-                id="symmetry-cap",
-            ),
-            pytest.param(
-                [[0, 1, 2, 3], [1, 1, 1, 3], [2, 2, 2, 3], [3, 3, 3, 3]], 32,
-                [("symmetry", (1, 2)), ("positivity", (1, 2)), ("monotonicity", (1, 2))],
-                id="positivity-asymmetric",
-            ),
-            pytest.param(
-                POSITIVITY_3, 32,
-                [
-                    ("positivity", (1, 1)), ("positivity", (1, 2)),
-                    ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
-                    ("monotonicity", (1, 1)), ("monotonicity", (2, 1)),
-                ],
-                id="positivity",
-            ),
-            pytest.param(POSITIVITY_3, 1, [("positivity", (1, 1))], id="positivity-cap"),
-            pytest.param(
-                POSITIVITY_3, 4,
-                [
-                    ("positivity", (1, 1)), ("positivity", (1, 2)),
-                    ("monotonicity", (1, 1)), ("monotonicity", (1, 2)),
-                ],
-                id="monotonicity-cap",
-            ),
-            pytest.param(
-                [[0, 1, 2, 3], [1, 3, 2, 3], [2, 2, 3, 3], [3, 3, 3, 3]], 32,
-                [("monotonicity", (1, 2)), ("monotonicity", (2, 1))],
-                id="monotonicity",
-            ),
-            pytest.param(
-                [list(row) for row in NONASSOC_3.entries], 32,
-                [("associativity", (1, 1, 2))],
-                id="associativity",
-            ),
-            pytest.param(
-                EXAMPLE_NONASSOC_5, 3,
-                [
-                    ("associativity", (1, 1, 3)), ("associativity", (1, 1, 4)),
-                    ("associativity", (1, 2, 3)),
-                ],
-                id="associativity-cap",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("rows,cap,expected", VIOLATION_PINS)
     def test_violations(self, rows, cap, expected):
         report = from_entries(len(rows) - 1, rows).validate(cap)
         assert [(v.axiom, v.witness) for v in report.violations] == expected
         assert report.is_magma == (expected[0][0] == "associativity")
         assert not report.is_monoid
+
+
+CAPS = (1, 2, 32, 1000)
+
+
+def _outcome(check, t, cap):
+    """The report of check(t, cap), or the type of what it raised."""
+    try:
+        return check(t, cap)
+    except Exception as exc:  # the generators may raise on malformed cells
+        return type(exc)
+
+
+def _assert_screen_agrees(t):
+    for cap in CAPS:
+        assert _outcome(_validate, t, cap) == _outcome(_scan, t, cap)
+
+
+def _one_cell_changes(t, symmetric):
+    """Tables that differ from t in one cell (i, j), 1 <= i <= j.  Symmetric
+    changes mirror the value into (j, i) and keep rows and columns sorted,
+    so they break associativity only or give another monoid; the others
+    put any value in 0..n + 1 off the diagonal, breaking symmetry."""
+    n, e = t.n, t.entries
+    for i in range(1, n + 1):
+        for j in range(i + (not symmetric), n + 1):
+            if symmetric:
+                lo = max(j, e[i][j - 1], e[i - 1][j])
+                hi = min(e[i][j + 1] if j < n else n, e[i + 1][j] if i < n else n)
+            else:
+                lo, hi = 0, n + 1
+            for v in range(lo, hi + 1):
+                if v == e[i][j]:
+                    continue
+                rows = [list(row) for row in e]
+                rows[i][j] = v
+                if symmetric:
+                    rows[j][i] = v
+                yield AdditionTable(n, tuple(map(tuple, rows)))
+
+
+class TestScreen:
+    """The whole-table screen gives exactly the generator-only report."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_census_monoids(self, census_cache, n):
+        for t in census_cache(n).emitted:
+            assert _screen(t.entries, n)
+            _assert_screen_agrees(t)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_emitted_magmas(self, census_cache, n):
+        for t in census_cache(n, want_magmas=True).emitted:
+            assert _screen(t.entries, n) == _scan(t, 1).is_monoid
+            _assert_screen_agrees(t)
+
+    @given(st.one_of(random_tables(), random_magmas(max_n=6)))
+    def test_random_tables(self, t):
+        _assert_screen_agrees(t)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_sorted_one_cell_changes_of_census_monoids(self, census_cache, n):
+        kinds = {True: 0, False: 0}  # another monoid / associativity broken
+        for t in census_cache(n).emitted:
+            for changed in _one_cell_changes(t, symmetric=True):
+                kinds[_screen(changed.entries, n)] += 1
+                _assert_screen_agrees(changed)
+        assert kinds[True] > 0 and kinds[False] > 0
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_asymmetric_one_cell_changes_of_census_monoids(self, census_cache, n):
+        for t in census_cache(n).emitted:
+            for changed in _one_cell_changes(t, symmetric=False):
+                assert not _screen(changed.entries, n)
+                _assert_screen_agrees(changed)
+
+    @pytest.mark.parametrize("rows,cap,expected", VIOLATION_PINS)
+    def test_violation_pins(self, rows, cap, expected):
+        t = from_entries(len(rows) - 1, rows)
+        assert not _screen(t.entries, t.n)
+        _assert_screen_agrees(t)
+
+    def test_list_rows_are_not_screened(self, census_cache):
+        for t in census_cache(4, want_magmas=True).emitted:
+            listed = AdditionTable(t.n, tuple(list(row) for row in t.entries))
+            assert not _screen(listed.entries, t.n)
+            _assert_screen_agrees(listed)
+            assert _validate(listed, 32) == _validate(t, 32)
+
+    def test_n0(self):
+        t = from_entries(0, [[0]])
+        assert _screen(t.entries, 0)
+        _assert_screen_agrees(t)
+        assert t.is_monoid
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            AdditionTable(1, ((0, 1), (1, 2))),
+            AdditionTable(2, ((0, 1, 2), (1, 2, 2), (2, 2, 3))),
+            AdditionTable(1, ((0, 1), (1, 1.0))),
+            AdditionTable(1, ((0, 1), (1, "1"))),
+            AdditionTable(1, ((0, 1), (1, 256))),
+            AdditionTable(1, [(0, 1), (1, 1)]),
+            AdditionTable(1, ((0, 1), (1, 1), (2, 2))),
+            AdditionTable(-1, ()),
+            # associative and commutative, but not ordered: rows unsorted
+            AdditionTable(1, ((0, 1), (1, 0))),
+            AdditionTable(2, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+        ],
+        ids=[
+            "above-n", "above-n-corner", "float", "str", "256", "list",
+            "extra-row", "negative-n", "cyclic-2", "cyclic-3",
+        ],
+    )
+    def test_malformed_tables_are_not_screened(self, t):
+        assert not _screen(t.entries, t.n)
+        _assert_screen_agrees(t)
+
+    def test_n_above_255_is_not_screened(self):
+        # only the generators judge it (a full scan visits 2.8M triples)
+        assert not _screen(max_monoid(256).entries, 256)
+
