@@ -22,14 +22,13 @@ print(dm_table_csv(dm_table(6)), end="")
 
 print()
 print("== work splitting is exact, not approximate ==")
-config = SearchConfig(n=5, want_magmas=True, emit=True)
-sequential = enumerate_tables(config)
 prefixes = partition_work(SearchConfig(n=5, prefix_depth=2))
-parallel = enumerate_tables(
-    SearchConfig(n=5, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
-)
-print(f"{len(prefixes)} subtrees at depth 2; merged == sequential:",
-      parallel == sequential)
+print(f"{len(prefixes)} walk subtrees at depth 2, by their first two cells:")
+print("  " + " ".join(",".join(map(str, p)) for p in prefixes))
+# the monoid census grows its n - 3 level in a pool of job_count workers
+sequential = enumerate_tables(SearchConfig(n=6, emit=True))
+pooled = enumerate_tables(SearchConfig(n=6, emit=True, job_count=2))
+print(f"n=6 monoid census, job_count 1 == 2: {pooled == sequential}")
 
 print()
 print("== timing the monoid count ==")

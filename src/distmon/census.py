@@ -67,21 +67,18 @@ caller's Python stack is, and it runs every check inline from offsets
 precomputed per cell.  Two switches select what it does:
 
 * `stop`: the number of cells to fill.  A full walk yields every table;
-  a walk that stops at depth d yields the prefixes partition_work() hands
-  to pool workers.
+  a walk that stops at depth d yields the prefixes partition_work()
+  returns.
 * `check`: prune by associativity.  When cell (b, c) is fixed, every
   triple (a, b, c) with a <= b has all three of its inner cells
   determined, so its three bracketings are evaluated immediately; a
   bracketing whose outer lookup lands on a still-open cell parks the
   triple on that cell, to be re-examined the moment the cell is assigned.
-  A subtree is abandoned at the first determined disagreement, which is
-  what makes the search feasible at n = 8..9.  A full checked walk also
-  gives each leaf its Archimedean complexity: when the last cell (r, n) of
-  row r is placed, row r's absorption masks are computed once
-  (analysis._row_masks), so a leaf runs only the threshold loop.
+  A subtree is abandoned at the first determined disagreement, so a full
+  checked walk yields exactly the monoids.
 
-The walker emits magmas, splits their walk for the pool, and is the
-truncation census's test oracle.
+The walker emits magmas, in one sequential walk, and is the truncation
+census's test oracle.
 
 Magmas are counted without visiting their leaves: the number of ways to
 complete rows i..n depends only on row i-1's cells at columns i..n, so
@@ -92,11 +89,11 @@ DP's test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator
 
-from .analysis import _arch_threshold, _row_masks
+from .analysis import arch_complexity
 from .errors import check_scale
 from .table import AdditionTable
 
@@ -198,14 +195,12 @@ def count_magmas(n: int) -> int:
 
 def _walk(
     n: int, prefix: tuple[int, ...], stop: int, check: bool
-) -> Iterator[tuple[int, list[int]]]:
+) -> Iterator[list[int]]:
     """Walk the table tree below `prefix` and yield at every node `stop`
     cells deep, in visit (= lexicographic) order.
 
-    Each yield is (arch, T): T is the walker's own flat (n+1)^2 table, so
-    read it before resuming; arch is the node's Archimedean complexity
-    when `check` is set and `stop` covers every cell, else 0.  With
-    `check`, subtrees that break associativity are cut off.
+    Each yield is the walker's own flat (n+1)^2 table, so read it before
+    resuming.  With `check`, subtrees that break associativity are cut off.
     """
     N1 = n + 1
     cells = _cells(n)
@@ -221,9 +216,6 @@ def _walk(
     up_off = [(i - 1) * N1 + j for i, j in cells]
     floor = [j for _, j in cells]
     top = [prefix[k] if k < plen else n for k in range(ncells)]
-    # the row a cell completes, when the walk needs leaf arch
-    want_arch = check and stop == ncells
-    row_done = [i if want_arch and j == n else 0 for i, j in cells]
     # pending[c]: the triples to check when cell c is placed.  Each cell's
     # list starts with the triples (a, i, j), a = 1..i, that it completes,
     # as (ab, ac, bc, c, b, a) offsets; a triple whose outer lookup hits an
@@ -239,8 +231,6 @@ def _walk(
     # TN[c] = T[c] * N1, the offset of row T[c], for every placed cell c
     # of the upper triangle (a triple's inner cells all lie there)
     TN = [x * N1 for x in T]
-    bad, row_img = [0] * N1, [[0] * (n + 2) for _ in range(N1)]
-    bad[0], row_img[0] = _row_masks(T[:N1], n)
 
     k = -1
     while True:
@@ -310,12 +300,9 @@ def _walk(
                     tri = None
                 if tri is not None:
                     continue
-                r = row_done[k]
-                if r:
-                    bad[r], row_img[r] = _row_masks(T[r * N1 : r * N1 + N1], n)
             if k + 1 < stop:
                 break
-            yield (_arch_threshold(bad, row_img, n) if want_arch else 0), T
+            yield T
 
 
 def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -323,35 +310,22 @@ def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
 
 
-def _monoid_subtree(n: int, prefix: tuple[int, ...]) -> dict[int, int]:
-    """{arch: count} over the monoids extending `prefix`, by the checked
-    walk: the truncation census's test oracle."""
+def _monoid_subtree(n: int) -> dict[int, int]:
+    """{arch: count} over the monoids on n elements, by the checked walk
+    and arch_complexity: the truncation census's test oracle."""
     by_arch: dict[int, int] = {}
-    for arch, _ in _walk(n, prefix, n * (n + 1) // 2, True):
+    for T in _walk(n, (), n * (n + 1) // 2, True):
+        arch = arch_complexity(AdditionTable(n, _rows(T, n)))
         by_arch[arch] = by_arch.get(arch, 0) + 1
     return by_arch
-
-
-def _magma_subtree(
-    n: int, prefix: tuple[int, ...], emit: bool
-) -> tuple[int, list[AdditionTable]]:
-    """Count (and optionally collect) all magmas extending `prefix`; the
-    magma-emitting census runs it once per prefix."""
-    count = 0
-    emitted: list[AdditionTable] = []
-    for _, T in _walk(n, prefix, n * (n + 1) // 2, False):
-        count += 1
-        if emit:
-            emitted.append(AdditionTable(n, _rows(T, n)))
-    return count, emitted
 
 
 def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     """All bound-valid assignments of the first prefix_depth cells.
 
-    Each prefix roots an independent subtree; subtree results merged in
-    prefix (= lexicographic = sequential visit) order reproduce the
-    unpartitioned census exactly.
+    Each prefix roots an independent subtree of the walk; the subtrees in
+    prefix (= lexicographic = sequential visit) order cover the whole walk
+    exactly once.  No census splits on them.
     """
     if config.prefix_depth < 1:
         raise ValueError("partition_work requires prefix_depth >= 1")
@@ -359,7 +333,7 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     offsets = [i * (n + 1) + j for i, j in _cells(n)[: config.prefix_depth]]
     return [
         tuple(T[o] for o in offsets)
-        for _, T in _walk(n, (), config.prefix_depth, False)
+        for T in _walk(n, (), config.prefix_depth, False)
     ]
 
 
@@ -561,12 +535,12 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
     """Run the census described by `config`.
 
     Monoid statistics (monoid_count, by_arch) always come from the
-    truncation census.  magma_count is computed only when want_magmas is
-    set, by count_magmas() in this process.  Emission collects monoids
-    from the same truncation census, restricted by arch_filter when given,
-    or, when want_magmas, magmas from the unchecked walk, split at
-    prefix_depth cells.  Results are independent of job_count and
-    prefix_depth.
+    truncation census, whose pool job_count sizes.  magma_count is
+    computed only when want_magmas is set, by count_magmas() in this
+    process.  Emission collects monoids from the same truncation census,
+    restricted by arch_filter when given, or, when want_magmas, magmas
+    from one sequential unchecked walk.  prefix_depth is validated but
+    splits nothing.  Results are independent of job_count and prefix_depth.
     """
     n = config.n
     check_scale("monoid census n", n, MONOID_GUARD, config.scale_override)
@@ -583,20 +557,9 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
             if config.arch_filter is None or arch == config.arch_filter
         )
     elif config.emit:
-        depth = config.prefix_depth
-        if depth == 0 and config.job_count > 1:
-            depth = min(2, n * (n + 1) // 2)
-        if depth == 0:
-            prefixes = [()]
-        else:
-            prefixes = partition_work(replace(config, prefix_depth=depth))
-        tasks = [(n, p, True) for p in prefixes]
-        if config.job_count == 1 or len(tasks) == 1:
-            parts = [_magma_subtree(*t) for t in tasks]
-        else:
-            with Pool(processes=config.job_count) as pool:
-                parts = pool.starmap(_magma_subtree, tasks)
-        emitted = tuple(t for _, part in parts for t in part)
+        emitted = tuple(
+            AdditionTable(n, _rows(T, n)) for T in _walk(n, (), n * (n + 1) // 2, False)
+        )
 
     by_arch = dict(sorted(counts[n].items()))
     return CensusResult(

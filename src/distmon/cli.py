@@ -226,12 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", type=int, default=None, help="restrict emission/count to one complexity")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None, help="write every table as a JSON file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for the monoid census (n >= 5)"
+    )
     p.add_argument(
         "--prefix-depth",
         type=int,
         default=0,
-        help="split the magma walk into subtrees at this many cells (with --magmas --emit only)",
+        help="accepted and validated (0..n(n+1)/2); no census splits on it",
     )
     p.add_argument("--dm-table", action="store_true", help="emit CSV of counts by (n, complexity) for 1..n")
     p.add_argument("--csv", metavar="FILE", default=None, help="with --dm-table, write CSV here")

@@ -10,6 +10,8 @@ Axioms checked by `validate`:
   identity      cell (0, j) = j and (i, 0) = i
   symmetry      cell (i, j) = cell (j, i)
   positivity    cell (i, j) >= max(i, j)
+  range         cell (i, j) <= n (from_entries checks it on input; a
+                table built directly may break it)
   monotonicity  cell values nondecreasing along rows and columns
   associativity ((ei+ej)+ek) independent of bracketing -- this one
                 separates magmas from monoids and is reported, not required.
@@ -157,7 +159,9 @@ def from_upper_triangle(n: int, cells: Sequence[int]) -> AdditionTable:
 
 
 def _magma_violations(e: Sequence[Sequence[int]], n: int) -> Iterator[Violation]:
-    """Identity, symmetry, positivity, then monotonicity violations."""
+    """Identity, symmetry, positivity and range, then monotonicity
+    violations.  A table with a cell above n is no magma, so the
+    associativity scan, which looks rows up by cell value, never sees it."""
     for j in range(n + 1):
         if e[0][j] != j:
             yield Violation("identity", (0, j))
@@ -173,6 +177,8 @@ def _magma_violations(e: Sequence[Sequence[int]], n: int) -> Iterator[Violation]
         for j in range(i, n + 1) if symmetric else range(1, n + 1):
             if e[i][j] < max(i, j):
                 yield Violation("positivity", (i, j))
+            elif e[i][j] > n:
+                yield Violation("range", (i, j))
     # adjacent comparisons suffice; witness = the cell that dropped
     for i in range(n + 1):
         for j in range(n + 1):

@@ -10,7 +10,6 @@ from distmon import census
 from distmon.census import (
     SearchConfig,
     _grow,
-    _magma_subtree,
     _monoid_subtree,
     _rows,
     _walk,
@@ -120,7 +119,7 @@ class TestCountMagmas:
 
     def test_dp_equals_walk_n7(self):
         # counted, not emitted: 218348 tables would hold hundreds of MB
-        assert count_magmas(7) == _magma_subtree(7, (), False)[0]
+        assert count_magmas(7) == sum(1 for _ in _walk(7, (), _ncells(7), False))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dp_equals_product_formula(self, n):
@@ -146,6 +145,15 @@ class TestCountMagmas:
 
 def _ncells(n):
     return n * (n + 1) // 2
+
+
+def _magma_tables(n, prefix=()):
+    """Every magma extending `prefix`, in the unchecked walk's order."""
+    return [AdditionTable(n, _rows(T, n)) for T in _walk(n, prefix, _ncells(n), False)]
+
+
+def _arch(T, n):
+    return arch_complexity(AdditionTable(n, _rows(T, n)))
 
 
 def _prefixes_by_filter(n, depth):
@@ -174,16 +182,20 @@ def _at_depth(depth, fn):
 class TestWalk:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_leaf_arch_equals_arch_complexity(self, n):
-        seen = 0
-        for arch, T in _walk(n, (), _ncells(n), True):
-            assert arch == arch_complexity(AdditionTable(n, _rows(T, n)))
-            seen += 1
-        assert seen == [1, 2, 6, 22, 94, 451, 2386][n - 1]
+        # every checked-walk leaf is a monoid, and arch_complexity gives it
+        # the arch the truncation census gives the same table
+        kept = census._truncation_counts(n, 1, keep=True)[1]
+        leaves = [bytes(T) for T in _walk(n, (), _ncells(n), True)]
+        assert leaves == [T for T, _ in kept]
+        for T, arch in kept:
+            t = AdditionTable(n, _rows(T, n))
+            assert t.is_monoid
+            assert arch_complexity(t) == arch
+        assert len(leaves) == [1, 2, 6, 22, 94, 451, 2386][n - 1]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_leaves_equal_dp(self, n):
         assert sum(1 for _ in _walk(n, (), _ncells(n), False)) == count_magmas(n)
-        assert len(_magma_subtree(n, (), True)[1]) == count_magmas(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("depth", range(1, 5))
@@ -204,7 +216,7 @@ class TestWalk:
         # some of these prefixes already break associativity (dead subtrees)
         for prefix in partition_work(SearchConfig(n=4, prefix_depth=3)):
             walked = sum(1 for _ in _walk(4, prefix, _ncells(4), True))
-            magmas = [t for t in _magma_subtree(4, prefix, True)[1] if t.is_monoid]
+            magmas = [t for t in _magma_tables(4, prefix) if t.is_monoid]
             assert walked == len(magmas)
 
     def test_rejects_out_of_bounds_prefix(self):
@@ -234,7 +246,7 @@ class TestTruncation:
         if n == 8:  # the one n = 8 walk, shared with TestEmission
             walked = Counter(arch for arch, _ in _walk_monoids(8))
         else:
-            walked = _monoid_subtree(n, ())
+            walked = _monoid_subtree(n)
         assert enumerate_tables(SearchConfig(n=n)).by_arch == dict(sorted(walked.items()))
 
     def test_n9_on_two_jobs_equals_recorded_row(self):
@@ -251,12 +263,12 @@ class TestTruncation:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_children_are_the_walk_monoids_truncating_to_parent(self, m):
         by_parent = {}
-        for _, T in _walk(m, (), _ncells(m), True):
+        for T in _walk(m, (), _ncells(m), True):
             rows = _rows(T, m)
             by_parent.setdefault(_truncate(rows, m), []).append(rows)
-        for p, T in _walk(m - 1, (), _ncells(m - 1), True):
+        for T in _walk(m - 1, (), _ncells(m - 1), True):
             P = list(T)
-            kids = [rows for rows, _ in self._children(P, m, p)]
+            kids = [rows for rows, _ in self._children(P, m, _arch(P, m - 1))]
             assert len(set(kids)) == len(kids)
             assert sorted(kids) == sorted(by_parent.pop(_rows(P, m - 1), []))
         assert not by_parent  # every monoid on m elements has a parent
@@ -264,8 +276,8 @@ class TestTruncation:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_leaf_rule_equals_arch_complexity(self, m):
         seen = 0
-        for p, T in _walk(m - 1, (), _ncells(m - 1), True):
-            for rows, arch in self._children(list(T), m, p):
+        for T in _walk(m - 1, (), _ncells(m - 1), True):
+            for rows, arch in self._children(list(T), m, _arch(T, m - 1)):
                 assert arch == arch_complexity(AdditionTable(m, rows))
                 seen += 1
         assert seen == [1, 2, 6, 22, 94, 451, 2386][m - 1]
@@ -291,7 +303,7 @@ def _flat(t):
 def _walk_monoids(n):
     """(arch, table bytes) of every monoid on n elements, in the checked
     walk's order; each n is walked once per session (n = 8 takes about 2 s)."""
-    return tuple((arch, bytes(T)) for arch, T in _walk(n, (), _ncells(n), True))
+    return tuple((_arch(T, n), bytes(T)) for T in _walk(n, (), _ncells(n), True))
 
 
 class TestEmission:
@@ -317,8 +329,8 @@ class TestEmission:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_emission_unchanged(self, n):
-        by_arch = dict(sorted(_monoid_subtree(n, ()).items()))
-        magmas = _magma_subtree(n, (), True)[1]
+        by_arch = dict(sorted(_monoid_subtree(n).items()))
+        magmas = _magma_tables(n)
         for jobs in (1, 2):
             for depth in (0, 2, 3):
                 config = SearchConfig(
@@ -370,6 +382,18 @@ class TestPartitioning:
             SearchConfig(n=4, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
         )
         assert seq == par
+
+    def test_magma_emission_starts_no_pool(self, monkeypatch):
+        # at n = 4 the truncation census is sequential too (n - 3 < 2)
+        def refuse(*args, **kwargs):
+            raise AssertionError("magma emission started a process pool")
+
+        monkeypatch.setattr(census, "Pool", refuse)
+        result = enumerate_tables(
+            SearchConfig(n=4, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
+        )
+        assert list(result.emitted) == _magma_tables(4)
+        assert len(result.emitted) == 42
 
 
 class TestSandwich:

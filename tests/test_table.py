@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from distmon.errors import NotAssociativeError, TableFormatError
 from distmon.table import (
     AdditionTable,
+    ValidationReport,
+    Violation,
     _scan,
     _screen,
     _validate,
@@ -445,6 +447,20 @@ class TestScreen:
     def test_malformed_tables_are_not_screened(self, t):
         assert not _screen(t.entries, t.n)
         _assert_screen_agrees(t)
+
+    @pytest.mark.parametrize(
+        "t,cell",
+        [
+            (AdditionTable(1, ((0, 1), (1, 2))), (1, 1)),
+            (AdditionTable(2, ((0, 1, 2), (1, 2, 2), (2, 2, 3))), (2, 2)),
+        ],
+        ids=["above-n", "above-n-corner"],
+    )
+    def test_cell_above_n_is_a_range_violation(self, t, cell):
+        # built without from_entries, so no range check ran on input
+        report = t.validate()
+        assert report == ValidationReport(False, False, (Violation("range", cell),))
+        assert not t.is_monoid
 
     def test_n_above_255_is_not_screened(self):
         # only the generators judge it (a full scan visits 2.8M triples)
