@@ -3,6 +3,11 @@
 Every check compares an independently computed expectation against brute
 force and is reported as a record; the harness never repairs a mismatch,
 it only reports it.
+
+Checks (e) and (f) pick their complexity strata by the arch the census
+carries with each emitted monoid (CensusResult.emitted_arch), computed
+while the table was grown.  Check (d) ties that arch, per table, to
+arch_complexity and to the chain-enumeration oracle for n <= 5.
 """
 
 from __future__ import annotations
@@ -160,18 +165,21 @@ def run_audit(
             monoid_census[n].magma_count,
         )
 
-    # (d) fast arch vs chain-enumeration oracle, exhaustive for small n
+    # (d) census arch vs fast arch vs chain-enumeration oracle, exhaustive
+    # for small n
     for n in range(1, min(n_max, 5) + 1):
+        res = monoid_census[n]
         mismatches = sum(
             1
-            for t in monoid_census[n].emitted
-            if arch_complexity(t) != arch_complexity_naive(t)
+            for t, arch in zip(res.emitted, res.emitted_arch)
+            if not arch == arch_complexity(t) == arch_complexity_naive(t)
         )
         add("arch-dp-vs-naive", {"n": n}, 0, mismatches)
 
     # (e) progressions of length n-1 in every complexity n-1 monoid
     for n in range(5, n_max + 1):
-        stratum = [t for t in monoid_census[n].emitted if arch_complexity(t) == n - 1]
+        res = monoid_census[n]
+        stratum = [t for t, arch in zip(res.emitted, res.emitted_arch) if arch == n - 1]
         missing = sum(1 for t in stratum if ap_profile(t).longest < n - 1)
         add(
             "long-progression-guarantee",
@@ -183,7 +191,8 @@ def run_audit(
     # (f) structured complexity-2 enumeration vs census stratum, both ways
     for n in range(2, min(n_max, 6) + 1):
         built = set(enumerate_complexity2(n))
-        stratum = {t for t in monoid_census[n].emitted if arch_complexity(t) == 2}
+        res = monoid_census[n]
+        stratum = {t for t, arch in zip(res.emitted, res.emitted_arch) if arch == 2}
         add(
             "complexity2-bijection",
             {"n": n},

@@ -128,11 +128,26 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class CensusResult:
+    """Counts of one census, and the tables it emitted, if any.
+
+    emitted_arch runs parallel to emitted: emitted_arch[i] is the
+    Archimedean complexity of emitted[i], read from the truncation census
+    that grew it.  It is set for monoid emission only (None for magma
+    emission and when nothing is emitted) and stays out of to_json_dict().
+    """
+
     n: int
     magma_count: int | None
     monoid_count: int
     by_arch: dict[int, int]
     emitted: tuple[AdditionTable, ...] | None
+    emitted_arch: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.emitted_arch is not None and (
+            self.emitted is None or len(self.emitted_arch) != len(self.emitted)
+        ):
+            raise ValueError("emitted_arch must run parallel to emitted")
 
     def to_json_dict(self) -> dict:
         return {
@@ -538,8 +553,9 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
     truncation census, whose pool job_count sizes.  magma_count is
     computed only when want_magmas is set, by count_magmas() in this
     process.  Emission collects monoids from the same truncation census,
-    restricted by arch_filter when given, or, when want_magmas, magmas
-    from one sequential unchecked walk.  prefix_depth is validated but
+    restricted by arch_filter when given, with the complexity of each in
+    emitted_arch, or, when want_magmas, magmas from one sequential
+    unchecked walk (emitted_arch None).  prefix_depth is validated but
     splits nothing.  Results are independent of job_count and prefix_depth.
     """
     n = config.n
@@ -549,13 +565,12 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
 
     emit_monoids = config.emit and not config.want_magmas
     counts, kept = _truncation_counts(n, config.job_count, keep=emit_monoids)
-    emitted = None
+    emitted = emitted_arch = None
     if emit_monoids:
-        emitted = tuple(
-            AdditionTable(n, _rows(T, n))
-            for T, arch in kept
-            if config.arch_filter is None or arch == config.arch_filter
-        )
+        if config.arch_filter is not None:
+            kept = [pair for pair in kept if pair[1] == config.arch_filter]
+        emitted = tuple(AdditionTable(n, _rows(T, n)) for T, _ in kept)
+        emitted_arch = tuple(arch for _, arch in kept)
     elif config.emit:
         emitted = tuple(
             AdditionTable(n, _rows(T, n)) for T in _walk(n, (), n * (n + 1) // 2, False)
@@ -568,6 +583,7 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
         monoid_count=sum(by_arch.values()),
         by_arch=by_arch,
         emitted=emitted,
+        emitted_arch=emitted_arch,
     )
 
 

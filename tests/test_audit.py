@@ -1,7 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from distmon import audit
 from distmon.audit import run_audit
 
 
@@ -58,11 +60,39 @@ class TestFaultInjection:
         assert not report.overall
         assert any(r.name == "magma-count-vs-robbins" for r in report.failures)
 
+    def test_corrupted_emitted_arch_is_caught(self):
+        def corrupt(res):
+            if res.n != 4:
+                return res
+            archs = list(res.emitted_arch)
+            archs[archs.index(2)] = 3
+            return replace(res, emitted_arch=tuple(archs))
+
+        report = run_audit(4, census_hook=corrupt)
+        failing = {(r.name, r.parameters.get("n")) for r in report.failures}
+        assert failing == {("arch-dp-vs-naive", 4), ("complexity2-bijection", 4)}
+
     def test_json_shape(self):
         obj = run_audit(2).to_json_dict()
         assert obj["overall_pass"] is True
         record = obj["checks"][0]
         assert set(record) == {"check", "parameters", "expected", "actual", "pass"}
+
+
+class TestArchReuse:
+    def test_strata_come_from_the_census(self, monkeypatch):
+        # only check (d) computes arch, once per monoid on n <= 5 elements
+        calls = Counter()
+        real = audit.arch_complexity
+
+        def counting(t):
+            calls[t.n] += 1
+            return real(t)
+
+        monkeypatch.setattr(audit, "arch_complexity", counting)
+        assert run_audit(7).overall
+        assert calls == {1: 1, 2: 2, 3: 6, 4: 22, 5: 94}
+        assert sum(calls.values()) == 125
 
 
 class TestTimings:

@@ -1,6 +1,7 @@
 import functools
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -320,12 +321,15 @@ class TestEmission:
             config = SearchConfig(
                 n=n, emit=True, arch_filter=arch_filter, job_count=jobs, prefix_depth=depth
             )
-            expected = [T for arch, T in walked if arch_filter in (None, arch)]
-            assert [_flat(t) for t in enumerate_tables(config).emitted] == expected
+            expected = [(arch, T) for arch, T in walked if arch_filter in (None, arch)]
+            result = enumerate_tables(config)
+            assert [_flat(t) for t in result.emitted] == [T for _, T in expected]
+            assert list(result.emitted_arch) == [arch for arch, _ in expected]
 
     def test_n8_sequence_equals_walk(self):
-        emitted = enumerate_tables(SearchConfig(n=8, emit=True)).emitted
-        assert [_flat(t) for t in emitted] == [T for _, T in _walk_monoids(8)]
+        result = enumerate_tables(SearchConfig(n=8, emit=True))
+        assert [_flat(t) for t in result.emitted] == [T for _, T in _walk_monoids(8)]
+        assert list(result.emitted_arch) == [arch for arch, _ in _walk_monoids(8)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_emission_unchanged(self, n):
@@ -343,6 +347,13 @@ class TestEmission:
                 result = enumerate_tables(config)
                 assert result.by_arch == by_arch
                 assert result.emitted == tuple(magmas)
+                assert result.emitted_arch is None
+
+    @pytest.mark.parametrize("want_magmas", [False, True])
+    def test_no_arch_without_emission(self, want_magmas):
+        result = enumerate_tables(SearchConfig(n=4, want_magmas=want_magmas))
+        assert result.emitted is None
+        assert result.emitted_arch is None
 
 
 class TestPartitioning:
@@ -463,3 +474,20 @@ class TestResultJson:
 
     def test_monoid_census_has_null_magma_count(self, census_cache):
         assert census_cache(3).to_json_dict()["magma_count"] is None
+
+    def test_emitted_arch_not_serialized(self, census_cache):
+        result = census_cache(3)
+        assert result.to_json_dict() == replace(result, emitted_arch=None).to_json_dict()
+
+
+class TestResultInvariant:
+    def test_emitted_arch_without_emitted_is_rejected(self, census_cache):
+        with pytest.raises(ValueError, match="parallel"):
+            replace(census_cache(3), emitted=None)
+
+    def test_emitted_arch_of_other_length_is_rejected(self, census_cache):
+        result = census_cache(3)
+        with pytest.raises(ValueError, match="parallel"):
+            replace(result, emitted=result.emitted[1:])
+        with pytest.raises(ValueError, match="parallel"):
+            replace(result, emitted_arch=result.emitted_arch + (3,))
