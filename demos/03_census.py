@@ -2,9 +2,9 @@
 
 Monoids, counted or emitted, grow from their truncations (the monoid one
 element smaller, with sums capped at its top), deciding only where the new
-top appears.  Emitted magmas come from a walk that fills the upper
-triangle cell by cell; positivity and monotonicity are built into each
-cell's range.
+top appears.  Emitted magmas come from a walk that fills the table one
+row at a time; positivity and monotonicity are built into each row's
+range.
 """
 
 import time

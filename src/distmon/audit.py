@@ -24,8 +24,15 @@ from .analysis import (
     idempotents,
 )
 from .builders import enumerate_complexity2
-from .census import MAGMA_GUARD, CensusResult, SearchConfig, count_magmas, enumerate_tables
-from .errors import scale_override_active
+from .census import (
+    MAGMA_GUARD,
+    MONOID_GUARD,
+    CensusResult,
+    SearchConfig,
+    count_magmas,
+    enumerate_tables,
+)
+from .errors import check_scale, scale_override_active
 from .formulas import bell, dm_n_2, dm_near_top, lower_bound
 from .robbins import ROBBINS_NUMBERS
 
@@ -99,6 +106,8 @@ def run_audit(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # the largest census is guarded before the smaller ones spend time
+    check_scale("monoid census n", n_max, MONOID_GUARD, scale_override)
     records: list[CheckRecord] = []
 
     def add(name: str, parameters: dict, expected, actual) -> None:

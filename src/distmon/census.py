@@ -2,7 +2,7 @@
 row-transfer DP.
 
 Monoids are counted and emitted by growing each one from its truncation.
-Magma tables are emitted by walking them cell by cell.
+Magma tables are emitted one row at a time.
 
 Truncation.  Let M be a distance monoid on 0..m and q = m - 1.  Its
 truncation P is 0..q with x +' y = min(x + y, q).  The cap min(x, q) is
@@ -48,52 +48,38 @@ The levels m = 1..n are grown depth-first from an explicit stack.  With
 job_count > 1 the monoids on n - 3 elements are grown in a process pool,
 one task each, and merged in task order.
 
-Emitted monoids are the level-n tables sorted by their bytes, which is the
-walker's visit order: the walker orders tables lexicographically by their
-upper-triangle cells in row-major order, and in the flat row-major table
-every entry below the diagonal mirrors an earlier upper cell, so the first
-byte where two tables differ is their first differing upper cell.  The
-order is global, so it does not depend on job_count.
+Emitted monoids are the level-n tables sorted by their bytes.  That is
+lexicographic order on the upper-triangle cells in row-major order, the
+order in which the row generator below emits magmas: in the flat
+row-major table every entry below the diagonal mirrors an earlier upper
+cell, so the first byte where two tables differ is their first differing
+upper cell.  The order is global, so it does not depend on job_count.
 
-The walker.  Magma tables come from filling the upper-triangle cells
-(1,1), (1,2), ..., (1,n), (2,2), ..., (n,n) in row-major order.  Cell (i,
-j) ranges over [max(j, left neighbor, upper neighbor), n], which builds
-positivity and monotonicity (and, with the mirrored write, symmetry)
-into the tree itself: the magma tree has exactly one leaf per magma.
+The row generator.  Row i of a magma table at columns i..n is
+nondecreasing, bounded above by n and below, cell by cell, by row i-1 at
+the same columns (T[i][i] >= T[i][i-1] = T[i-1][i], and row 0 is 0..n).
+That row profile is all later rows depend on, so _magma_walk() fills the
+table one row at a time, each row drawn from the nondecreasing tuples
+above its profile in lexicographic order, memoised per profile.  Its
+stack holds one iterator per row instead of recursing, so its cost does
+not depend on how deep the caller's Python stack is.  It emits magma
+tables, and when it stops mid-row it yields the prefixes partition_work()
+returns.
 
-_walk() visits that tree.  It keeps its own stack (one level per cell)
-instead of recursing, so its cost does not depend on how deep the
-caller's Python stack is, and it runs every check inline from offsets
-precomputed per cell.  Two switches select what it does:
-
-* `stop`: the number of cells to fill.  A full walk yields every table;
-  a walk that stops at depth d yields the prefixes partition_work()
-  returns.
-* `check`: prune by associativity.  When cell (b, c) is fixed, every
-  triple (a, b, c) with a <= b has all three of its inner cells
-  determined, so its three bracketings are evaluated immediately; a
-  bracketing whose outer lookup lands on a still-open cell parks the
-  triple on that cell, to be re-examined the moment the cell is assigned.
-  A subtree is abandoned at the first determined disagreement, so a full
-  checked walk yields exactly the monoids.
-
-The walker emits magmas, in one sequential walk, and is the truncation
-census's test oracle.
-
-Magmas are counted without visiting their leaves: the number of ways to
-complete rows i..n depends only on row i-1's cells at columns i..n, so
-count_magmas() carries a count per such row profile from row to row.  The
-unchecked full walk runs only to emit magma tables, and serves as the
-DP's test oracle.
+Magmas are counted without visiting their leaves: count_magmas() carries
+a count per row profile from row to row.  The generator runs only to emit
+magma tables and to partition; the tests hold both it and the DP to an
+independent cell-by-cell walker.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from multiprocessing import Pool
 from typing import Iterator
 
-from .analysis import arch_complexity
 from .errors import check_scale
 from .table import AdditionTable
 
@@ -208,115 +194,47 @@ def count_magmas(n: int) -> int:
     return layer[()]
 
 
-def _walk(
-    n: int, prefix: tuple[int, ...], stop: int, check: bool
-) -> Iterator[list[int]]:
-    """Walk the table tree below `prefix` and yield at every node `stop`
-    cells deep, in visit (= lexicographic) order.
+def _magma_walk(n: int, stop: int) -> Iterator[list[int]]:
+    """Yield every magma table cut to its first `stop` upper-triangle cells
+    (row-major), in lexicographic order, each distinct cut once.
 
-    Each yield is the walker's own flat (n+1)^2 table, so read it before
-    resuming.  With `check`, subtrees that break associativity are cut off.
+    Each yield is the generator's own flat (n+1)^2 table, with -1 in the
+    cells past the cut, so read it before resuming.
     """
     N1 = n + 1
-    cells = _cells(n)
-    ncells = len(cells)
-    plen = len(prefix)
-    T = _fresh_table(n)
-    # per cell (i, j): its offset and its mirror's, the offsets of its left
-    # and upper neighbours, and the range [j, top] its value may take
-    # (top is the prefix value on prefix cells)
-    cell_off = [i * N1 + j for i, j in cells]
-    mirror_off = [j * N1 + i for i, j in cells]
-    left_off = [i * N1 + j - 1 for i, j in cells]
-    up_off = [(i - 1) * N1 + j for i, j in cells]
-    floor = [j for _, j in cells]
-    top = [prefix[k] if k < plen else n for k in range(ncells)]
-    # pending[c]: the triples to check when cell c is placed.  Each cell's
-    # list starts with the triples (a, i, j), a = 1..i, that it completes,
-    # as (ab, ac, bc, c, b, a) offsets; a triple whose outer lookup hits an
-    # open cell is parked on that cell's list and on the trail.  Both
-    # halves of a cell share one list.
-    pending: list[list[tuple[int, ...]]] = [[] for _ in range(N1 * N1)]
-    for i, j in cells:
-        pending[i * N1 + j] = pending[j * N1 + i] = [
-            (a * N1 + i, a * N1 + j, i * N1 + j, j, i, a) for a in range(1, i + 1)
-        ]
-    trail: list[list[tuple[int, ...]]] = []
-    marks = [0] * ncells
-    # TN[c] = T[c] * N1, the offset of row T[c], for every placed cell c
-    # of the upper triangle (a triple's inner cells all lie there)
-    TN = [x * N1 for x in T]
+    # lens[r - 1]: how many of row r's width cells (columns r..n) are filled
+    lens = []
+    for width in range(n, 0, -1):
+        if stop > 0:
+            lens.append(min(stop, width))
+            stop -= width
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    k = -1
-    while True:
-        # descend: the next cell starts at its magma lower bound
-        k += 1
-        marks[k] = len(trail)
-        v = floor[k]
-        x = T[left_off[k]]
-        if x > v:
-            v = x
-        x = T[up_off[k]]
-        if x > v:
-            v = x
-        if k < plen:
-            if not v <= prefix[k] <= n:
-                i, j = cells[k]
-                raise ValueError(f"prefix cell ({i},{j})={prefix[k]} violates magma bounds")
-            v = prefix[k]
-        ci, cj, hi, mark = cell_off[k], mirror_off[k], top[k], marks[k]
-        while True:
-            if v > hi:
-                # level k is exhausted: reopen its cell, resume the level above
-                T[ci] = T[cj] = -1
-                if k == 0:
-                    return
-                k -= 1
-                ci, cj, hi, mark = cell_off[k], mirror_off[k], top[k], marks[k]
-                v = T[ci] + 1
-                continue
-            if len(trail) > mark:
-                # unpark what was parked since this level was entered
-                for parked in trail[mark:]:
-                    parked.pop()
-                del trail[mark:]
-            T[ci] = T[cj] = v
-            v += 1
-            if check:
-                TN[ci] = T[ci] * N1
-                # the loop breaks at a determined disagreement, so tri is
-                # None after it only if every triple passed
-                for tri in pending[ci]:
-                    ab, ac, bc, c, b, a = tri
-                    o1 = TN[ab] + c
-                    o2 = TN[ac] + b
-                    o3 = TN[bc] + a
-                    p1 = T[o1]
-                    p2 = T[o2]
-                    p3 = T[o3]
-                    if p1 == p2 == p3 and p1 >= 0:
-                        continue
-                    if p1 >= 0:
-                        if p2 >= 0:
-                            if p1 != p2 or p3 >= 0:
-                                break
-                            parked = pending[o3]
-                        else:
-                            if p3 >= 0 and p1 != p3:
-                                break
-                            parked = pending[o2]
-                    else:
-                        if p2 >= 0 and p3 >= 0 and p2 != p3:
-                            break
-                        parked = pending[o1]
-                    parked.append(tri)
-                    trail.append(parked)
-                else:
-                    tri = None
-                if tri is not None:
-                    continue
-            if k + 1 < stop:
-                break
+    def choices(above: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # the nondecreasing rows that lie on or above `above`, cell by cell
+        rows = memo.get(above)
+        if rows is None:
+            rows = memo[above] = [
+                row
+                for row in combinations_with_replacement(range(above[0], N1), len(above))
+                if all(map(int.__ge__, row, above))
+            ]
+        return iter(rows)
+
+    T = _fresh_table(n)
+    stack = [choices(tuple(range(1, N1))[: lens[0]])]
+    while stack:
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+            continue
+        r = len(stack)
+        o = r * N1 + r
+        T[o : o + len(row)] = row
+        T[o : o + len(row) * N1 : N1] = row
+        if r < len(lens):
+            stack.append(choices(row[1 : 1 + lens[r]]))
+        else:
             yield T
 
 
@@ -325,31 +243,18 @@ def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
 
 
-def _monoid_subtree(n: int) -> dict[int, int]:
-    """{arch: count} over the monoids on n elements, by the checked walk
-    and arch_complexity: the truncation census's test oracle."""
-    by_arch: dict[int, int] = {}
-    for T in _walk(n, (), n * (n + 1) // 2, True):
-        arch = arch_complexity(AdditionTable(n, _rows(T, n)))
-        by_arch[arch] = by_arch.get(arch, 0) + 1
-    return by_arch
-
-
 def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     """All bound-valid assignments of the first prefix_depth cells.
 
-    Each prefix roots an independent subtree of the walk; the subtrees in
-    prefix (= lexicographic = sequential visit) order cover the whole walk
-    exactly once.  No census splits on them.
+    Each prefix roots an independent subtree of the magma walk; the
+    subtrees in prefix (= lexicographic = sequential visit) order cover
+    the whole walk exactly once.  No census splits on them.
     """
     if config.prefix_depth < 1:
         raise ValueError("partition_work requires prefix_depth >= 1")
     n = config.n
     offsets = [i * (n + 1) + j for i, j in _cells(n)[: config.prefix_depth]]
-    return [
-        tuple(T[o] for o in offsets)
-        for T in _walk(n, (), config.prefix_depth, False)
-    ]
+    return [tuple(T[o] for o in offsets) for T in _magma_walk(n, config.prefix_depth)]
 
 
 def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -522,7 +427,7 @@ def _truncation_counts(
 ) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
     """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
     with `keep` the monoids on n elements as (table, arch) pairs in the
-    walker's visit order (the order of their table bytes)."""
+    order of their table bytes."""
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
     counts[1][1] = 1
     kept = [(bytes(_ROOT[1]), 1)] if keep and n == 1 else []
@@ -535,7 +440,8 @@ def _truncation_counts(
             (n, (split, T, arch), keep)
             for T, arch in _grow(split, _ROOT, counts, keep=True)
         ]
-        with Pool(processes=job_count) as pool:
+        # more workers than tasks or cores would only be forked to idle
+        with Pool(processes=min(job_count, len(tasks), os.cpu_count() or 1)) as pool:
             for part, part_kept in pool.imap(_grow_task, tasks, chunksize=1):
                 for level in range(split + 1, n + 1):
                     tally = counts[level]
@@ -555,7 +461,7 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
     process.  Emission collects monoids from the same truncation census,
     restricted by arch_filter when given, with the complexity of each in
     emitted_arch, or, when want_magmas, magmas from one sequential
-    unchecked walk (emitted_arch None).  prefix_depth is validated but
+    row-by-row walk (emitted_arch None).  prefix_depth is validated but
     splits nothing.  Results are independent of job_count and prefix_depth.
     """
     n = config.n
@@ -573,7 +479,7 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
         emitted_arch = tuple(arch for _, arch in kept)
     elif config.emit:
         emitted = tuple(
-            AdditionTable(n, _rows(T, n)) for T in _walk(n, (), n * (n + 1) // 2, False)
+            AdditionTable(n, _rows(T, n)) for T in _magma_walk(n, n * (n + 1) // 2)
         )
 
     by_arch = dict(sorted(counts[n].items()))

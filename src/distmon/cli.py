@@ -227,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None, help="write every table as a JSON file")
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the monoid census (n >= 5)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the monoid census (n >= 5), "
+        "capped at its task count and the CPU count",
     )
     p.add_argument(
         "--prefix-depth",
@@ -264,7 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="cross-check census against every formula")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--deep", action="store_true", help="include the n=9 long check")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the monoid censuses (n >= 6), "
+        "capped at each census's task count and the CPU count",
+    )
     p.add_argument(
         "--timings",
         action="store_true",

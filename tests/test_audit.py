@@ -5,6 +5,7 @@ import pytest
 
 from distmon import audit
 from distmon.audit import run_audit
+from distmon.errors import SCALE_OVERRIDE_ENV, ScaleGuardError
 
 
 class TestRunAudit:
@@ -35,6 +36,15 @@ class TestRunAudit:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
             run_audit(0)
+
+    def test_scale_guard_precedes_every_census(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the audit ran a census before its scale guard")
+
+        monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
+        monkeypatch.setattr(audit, "enumerate_tables", refuse)
+        with pytest.raises(ScaleGuardError, match="monoid census n=9"):
+            run_audit(9)
 
 
 class TestFaultInjection:

@@ -1,8 +1,9 @@
 import functools
 import json
+import os
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -10,10 +11,10 @@ from distmon.analysis import arch_complexity
 from distmon import census
 from distmon.census import (
     SearchConfig,
+    _cells,
     _grow,
-    _monoid_subtree,
+    _magma_walk,
     _rows,
-    _walk,
     count_magmas,
     dm_table,
     dm_table_csv,
@@ -22,9 +23,10 @@ from distmon.census import (
 )
 from distmon.cli import main
 from distmon.errors import ScaleGuardError
-from distmon.formulas import dm_n_2, lower_bound
+from distmon.formulas import bell, dm_n_2, dm_near_top, lower_bound
 from distmon.robbins import ROBBINS_NUMBERS, robbins_number
 from distmon.table import AdditionTable
+from walk_oracle import _monoid_subtree, _walk
 
 MAGMA_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
 MONOID_BY_ARCH = {
@@ -119,8 +121,9 @@ class TestCountMagmas:
         assert count_magmas(n) == result.magma_count == len(result.emitted)
 
     def test_dp_equals_walk_n7(self):
-        # counted, not emitted: 218348 tables would hold hundreds of MB
-        assert count_magmas(7) == sum(1 for _ in _walk(7, (), _ncells(7), False))
+        # compared as a stream, not emitted: 218348 tables would hold
+        # hundreds of MB
+        assert count_magmas(7) == _walks_agree(7) == 218348
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dp_equals_product_formula(self, n):
@@ -151,6 +154,17 @@ def _ncells(n):
 def _magma_tables(n, prefix=()):
     """Every magma extending `prefix`, in the unchecked walk's order."""
     return [AdditionTable(n, _rows(T, n)) for T in _walk(n, prefix, _ncells(n), False)]
+
+
+def _walks_agree(n):
+    """Assert that the row generator yields the oracle's unchecked walk,
+    table for table and in order, and return how many tables both yield."""
+    count = 0
+    full = _ncells(n)
+    for ours, oracle in zip_longest(_magma_walk(n, full), _walk(n, (), full, False)):
+        assert ours == oracle
+        count += 1
+    return count
 
 
 def _arch(T, n):
@@ -197,6 +211,7 @@ class TestWalk:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_leaves_equal_dp(self, n):
         assert sum(1 for _ in _walk(n, (), _ncells(n), False)) == count_magmas(n)
+        assert _walks_agree(n) == count_magmas(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("depth", range(1, 5))
@@ -204,6 +219,13 @@ class TestWalk:
         depth = min(depth, _ncells(n))
         expected = _prefixes_by_filter(n, depth)
         assert partition_work(SearchConfig(n=n, prefix_depth=depth)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_partition_work_equals_oracle_prefixes(self, n):
+        for depth in range(1, _ncells(n) + 1):
+            offsets = [i * (n + 1) + j for i, j in _cells(n)[:depth]]
+            expected = [tuple(T[o] for o in offsets) for T in _walk(n, (), depth, False)]
+            assert partition_work(SearchConfig(n=n, prefix_depth=depth)) == expected
 
     @pytest.mark.parametrize("emit", [False, True])
     def test_independent_of_caller_depth(self, emit):
@@ -233,7 +255,25 @@ RECORDED_ROWS = {
     7: [1, 876, 1060, 359, 77, 12, 1],
     8: [1, 4139, 6495, 2462, 558, 105, 14, 1],
     9: [1, 21146, 42489, 17737, 4052, 838, 137, 16, 1],
+    10: [1, 115974, 300348, 136040, 30186, 6560, 1189, 172, 18, 1],
+    11: [1, 678569, 2342426, 1128129, 233232, 51899, 9933, 1606, 213, 20, 1],
 }
+RECORDED_TOTALS = {6: 451, 7: 2386, 8: 13775, 9: 86417, 10: 590489, 11: 4446029}
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_recorded_row_meets_known_columns(n):
+    # constants only: the n = 10 and n = 11 rows take 18 s and 132 s to census
+    row = RECORDED_ROWS[n]
+    assert len(row) == n
+    assert row[0] == row[n - 1] == 1
+    assert row[1] == dm_n_2(n) == bell(n) - 1
+    assert row[n - 2] == 2 * n - 2
+    if n >= 9:
+        assert row[n - 3] == dm_near_top(n, 2)
+    for k in range(1, 4):
+        assert lower_bound(n, k) <= row[n - k - 1]
+    assert sum(row) == RECORDED_TOTALS[n]
 
 
 def _truncate(rows, m):
@@ -393,6 +433,30 @@ class TestPartitioning:
             SearchConfig(n=4, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
         )
         assert seq == par
+
+    def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch):
+        # a recording fake: a real pool of job_count workers is never started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        sequential = enumerate_tables(SearchConfig(n=6, emit=True))
+        monkeypatch.setattr(census, "Pool", RecordingPool)
+        pooled = enumerate_tables(SearchConfig(n=6, emit=True, job_count=10**6))
+        # the six monoids on n - 3 = 3 elements are the tasks
+        assert sizes == [min(6, os.cpu_count() or 1)]
+        assert pooled == sequential
 
     def test_magma_emission_starts_no_pool(self, monkeypatch):
         # at n = 4 the truncation census is sequential too (n - 3 < 2)
