@@ -149,7 +149,7 @@ def decompose(t: AdditionTable) -> ArchDecomposition:
     Constructive route: the least remaining element's multiples stabilize at
     its class maximum; emit that interval and continue past it.  The result
     must agree with the O(n) splitting at idempotents (class maxima are
-    exactly the nonzero idempotents), which is asserted.
+    exactly the nonzero idempotents); AssertionError if it does not.
     """
     _require_monoid(t, "decompose")
     sizes: list[int] = []
@@ -163,7 +163,8 @@ def decompose(t: AdditionTable) -> ArchDecomposition:
 
     tops = sorted(idempotents(t))
     alt = [(prev + 1, top) for prev, top in zip([0] + tops, tops)]
-    assert alt == boundaries, "multiple-stabilization and idempotent splits differ"
+    if alt != boundaries:  # not an assert, which python -O would strip
+        raise AssertionError("multiple-stabilization and idempotent splits differ")
     return ArchDecomposition(tuple(sizes), tuple(boundaries))
 
 

@@ -128,12 +128,7 @@ def run_audit(
 
     def census(n: int) -> CensusResult:
         result = enumerate_tables(
-            SearchConfig(
-                n=n,
-                emit=True,
-                job_count=jobs if n >= 6 else 1,
-                scale_override=scale_override,
-            )
+            SearchConfig(n=n, emit=True, job_count=jobs, scale_override=scale_override)
         )
         if n <= magma_top:
             result = replace(result, magma_count=count_magmas(n))
@@ -228,7 +223,7 @@ def run_audit(
         bad = 0
         for t in monoid_census[n].emitted:
             try:
-                dec = decompose(t)  # asserts the two splittings agree
+                dec = decompose(t)  # AssertionError if the two splittings differ
             except AssertionError:
                 bad += 1
                 continue

@@ -44,9 +44,10 @@ maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
   s + y = q says P[s][y] = q with X[s][y] = 0.  Those cells (s, y) form
   one mask per tau, computed once per parent, and a leaf tests it against
   its own m-cells.
-The levels m = 1..n are grown depth-first from an explicit stack.  With
-job_count > 1 the monoids on n - 3 elements are grown in a process pool,
-one task each, and merged in task order.
+The levels m = 1..n are grown depth-first from an explicit stack.  From
+n = FORK_N on, each monoid on n - 3 elements roots one task; with
+job_count > 1 the tasks run in a process pool, and they merge in task
+order either way.
 
 Emitted monoids are the level-n tables sorted by their bytes.  That is
 lexicographic order on the upper-triangle cells in row-major order, the
@@ -75,7 +76,9 @@ independent cell-by-cell walker.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
 from typing import Iterator
@@ -85,6 +88,9 @@ from .table import AdditionTable
 
 MONOID_GUARD = 8
 MAGMA_GUARD = 7
+# the least n whose census forks: below it 2 workers cost more than they
+# save (median ms on 2 cores, 1 job vs 2: n = 7 82 vs 129, n = 8 557 vs 403)
+FORK_N = 8
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("census requires n >= 1")
-        if self.job_count < 1:
-            raise ValueError("job_count must be >= 1")
         ncells = self.n * (self.n + 1) // 2
         if not 0 <= self.prefix_depth <= ncells:
             raise ValueError(f"prefix_depth must be in 0..{ncells}")
@@ -272,21 +276,21 @@ def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
     return bit, span
 
 
-def _grow(
-    n: int,
-    root: tuple[int, list[int], int],
-    counts: list[dict[int, int]],
-    keep: bool = False,
-) -> list[tuple[bytes, int]]:
-    """Add every descendant of `root`, a (level, table, arch) triple below
-    n elements, to counts[level][arch].  With `keep`, also return the
-    descendants on n elements as (table, arch) pairs in visit order.
+def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
+    """Grow one task (n, root, keep), root a (level, table, arch) triple
+    with level <= n: counts[m][arch] for the descendants of root on m
+    elements, and with `keep` the monoids on n elements under it (root
+    itself when level = n) as (table, arch) pairs in visit order.
 
     Tables are flat: a monoid on q elements is (q+1) x (q+1), row-major.  Each
     popped parent P of complexity p on q = m - 1 elements has its children
     on m elements found by a DFS over rows; all of it runs inline in this
     one frame, so the cost does not depend on the caller's stack depth.
     """
+    n, root, keep = task
+    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    if root[0] == n:
+        return counts, [(bytes(root[1]), root[2])] if keep else []
     masks = {m: _level_bits(m) for m in range(root[0] + 1, n + 1)}
     kept = []
     stack = [root]
@@ -407,15 +411,7 @@ def _grow(
                     else:
                         kept.append((bytes(T), arch))
             t += 1
-    return kept
-
-
-def _grow_task(args: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
-    """Worker entry point: count the descendants of one monoid up to n, and
-    with `keep` return those on n elements too."""
-    n, root, keep = args
-    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    return counts, _grow(n, root, counts, keep)
+    return counts, kept
 
 
 # the one monoid on one element, 1 + 1 = 1, as (level, table, arch)
@@ -428,26 +424,24 @@ def _truncation_counts(
     """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
     with `keep` the monoids on n elements as (table, arch) pairs in the
     order of their table bytes."""
-    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    if job_count < 1:
+        raise ValueError("job_count must be >= 1")
+    split = n - 3 if n >= FORK_N else 1
+    # levels 2..split are counted here, the levels above by one task per
+    # root, in a pool when min(job_count, tasks, cores) > 1
+    counts, roots = _grow((split, _ROOT, True))
     counts[1][1] = 1
-    kept = [(bytes(_ROOT[1]), 1)] if keep and n == 1 else []
-    split = n - 3
-    if job_count == 1 or split < 2:
-        if n > 1:
-            kept = _grow(n, _ROOT, counts, keep)
-    else:
-        tasks = [
-            (n, (split, T, arch), keep)
-            for T, arch in _grow(split, _ROOT, counts, keep=True)
-        ]
-        # more workers than tasks or cores would only be forked to idle
-        with Pool(processes=min(job_count, len(tasks), os.cpu_count() or 1)) as pool:
-            for part, part_kept in pool.imap(_grow_task, tasks, chunksize=1):
-                for level in range(split + 1, n + 1):
-                    tally = counts[level]
-                    for arch, count in part[level].items():
-                        tally[arch] = tally.get(arch, 0) + count
-                kept += part_kept
+    counts += [{} for _ in range(n - split)]
+    tasks = [(n, (split, T, arch), keep) for T, arch in roots]
+    kept = []
+    workers = min(job_count, len(tasks), os.cpu_count() or 1)
+    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else partial(pool.imap, chunksize=1)
+        for part, part_kept in mapper(_grow, tasks):
+            for tally, part_tally in zip(counts, part):
+                for arch, count in part_tally.items():
+                    tally[arch] = tally.get(arch, 0) + count
+            kept += part_kept
     kept.sort()
     return counts, kept
 

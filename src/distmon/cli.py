@@ -51,14 +51,20 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.dm_table:
+        if args.emit is not None or args.magmas or args.arch is not None or args.count_only:
+            raise ValueError("--dm-table takes none of --emit, --magmas, --arch, --count-only")
+        if args.n < 1:
+            raise ValueError("census requires n >= 1")
         rows = census.dm_table(args.n, job_count=args.jobs)
         text = census.dm_table_csv(rows)
-        if args.csv:
+        if args.csv is not None:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             print(text, end="")
         return 0
+    if args.csv is not None:
+        raise ValueError("--csv requires --dm-table")
     config = census.SearchConfig(
         n=args.n,
         want_magmas=args.magmas,
@@ -230,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the monoid census (n >= 5), "
-        "capped at its task count and the CPU count",
+        help="worker processes for the monoid census; it forks only from "
+        f"n = {census.FORK_N}, capped at its task count and the CPU count",
     )
     p.add_argument(
         "--prefix-depth",
@@ -272,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the monoid censuses (n >= 6), "
-        "capped at each census's task count and the CPU count",
+        help="worker processes for the monoid censuses; each forks only "
+        f"from n = {census.FORK_N}, capped at its task count and the CPU count",
     )
     p.add_argument(
         "--timings",

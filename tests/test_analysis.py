@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from distmon.analysis import (
@@ -92,6 +97,31 @@ class TestDecompose:
         for n in range(1, 6):
             for t in census_cache(n).emitted:
                 assert decompose(t).class_count == len(idempotents(t))
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_wrong_split_raises_even_under_python_O(self, flags):
+        # audit check (h) counts this AssertionError, so -O must keep it
+        script = (
+            "from distmon import analysis\n"
+            "from distmon.table import capped_naturals\n"
+            "analysis.idempotents = lambda t: frozenset({2, 4})\n"
+            "try:\n"
+            "    print(analysis.decompose(capped_naturals(4)).sizes)\n"
+            "except AssertionError as exc:\n"
+            "    print('AssertionError:', exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "AssertionError: multiple-stabilization and idempotent splits differ\n"
+        )
 
 
 class TestClassSubmonoid:

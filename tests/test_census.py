@@ -1,6 +1,5 @@
 import functools
 import json
-import os
 from collections import Counter
 from dataclasses import replace
 from itertools import product, zip_longest
@@ -9,6 +8,7 @@ import pytest
 
 from distmon.analysis import arch_complexity
 from distmon import census
+from distmon.audit import run_audit
 from distmon.census import (
     SearchConfig,
     _cells,
@@ -138,7 +138,6 @@ class TestCountMagmas:
         for argv in (
             ["--jobs", "1"],
             ["--jobs", "2", "--prefix-depth", "0"],
-            ["--jobs", "2", "--prefix-depth", "2"],
             ["--jobs", "2", "--prefix-depth", "3"],
         ):
             assert main(["census", "--n", "6", "--magmas", *argv]) == 0
@@ -298,8 +297,7 @@ class TestTruncation:
     @staticmethod
     def _children(P, m, p):
         """(rows, arch) of the children the truncation census grows from P."""
-        counts = [{} for _ in range(m + 1)]
-        return [(_rows(T, m), arch) for T, arch in _grow(m, (m - 1, P, p), counts, keep=True)]
+        return [(_rows(T, m), arch) for T, arch in _grow((m, (m - 1, P, p), True))[1]]
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_children_are_the_walk_monoids_truncating_to_parent(self, m):
@@ -328,7 +326,7 @@ class TestTruncation:
         base = enumerate_tables(SearchConfig(n=7, want_magmas=want_magmas))
         assert base.by_arch == dict(enumerate(RECORDED_ROWS[7], start=1))
         for jobs in (1, 2):
-            for depth in (0, 2, 5):
+            for depth in (0, 5):
                 config = SearchConfig(
                     n=7, want_magmas=want_magmas, job_count=jobs, prefix_depth=depth
                 )
@@ -367,16 +365,18 @@ class TestEmission:
             assert list(result.emitted_arch) == [arch for arch, _ in expected]
 
     def test_n8_sequence_equals_walk(self):
-        result = enumerate_tables(SearchConfig(n=8, emit=True))
-        assert [_flat(t) for t in result.emitted] == [T for _, T in _walk_monoids(8)]
-        assert list(result.emitted_arch) == [arch for arch, _ in _walk_monoids(8)]
+        # n = 8 is FORK_N, so job_count = 2 runs the tasks in a real pool
+        for jobs in (1, 2):
+            result = enumerate_tables(SearchConfig(n=8, emit=True, job_count=jobs))
+            assert [_flat(t) for t in result.emitted] == [T for _, T in _walk_monoids(8)]
+            assert list(result.emitted_arch) == [arch for arch, _ in _walk_monoids(8)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_emission_unchanged(self, n):
         by_arch = dict(sorted(_monoid_subtree(n).items()))
         magmas = _magma_tables(n)
         for jobs in (1, 2):
-            for depth in (0, 2, 3):
+            for depth in (0, 3):
                 config = SearchConfig(
                     n=n,
                     want_magmas=True,
@@ -451,15 +451,22 @@ class TestPartitioning:
             def imap(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        sequential = enumerate_tables(SearchConfig(n=6, emit=True))
+        n = census.FORK_N
         monkeypatch.setattr(census, "Pool", RecordingPool)
-        pooled = enumerate_tables(SearchConfig(n=6, emit=True, job_count=10**6))
-        # the six monoids on n - 3 = 3 elements are the tasks
-        assert sizes == [min(6, os.cpu_count() or 1)]
-        assert pooled == sequential
+        sequential = enumerate_tables(SearchConfig(n=n))
+        assert sizes == []  # one job runs its tasks in this process
+        # the monoids on n - 3 elements are the tasks; with an unknown core
+        # count they run in this process too
+        tasks = len(_walk_monoids(n - 3))
+        for cores, workers in ((3, [3]), (10**6, [tasks]), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
+            pooled = enumerate_tables(SearchConfig(n=n, job_count=10**6))
+            assert sizes == workers
+            assert pooled == sequential
 
     def test_magma_emission_starts_no_pool(self, monkeypatch):
-        # at n = 4 the truncation census is sequential too (n - 3 < 2)
+        # below FORK_N the truncation census starts no pool either
         def refuse(*args, **kwargs):
             raise AssertionError("magma emission started a process pool")
 
@@ -527,6 +534,45 @@ class TestDmTable:
         text = dm_table_csv(dm_table(2))
         assert text.splitlines()[0] == "n,k,count"
         assert text == "n,k,count\n1,1,1\n2,1,1\n2,2,1\n"
+
+
+class TestJobCount:
+    """job_count < 1 is refused by the census itself, before anything is
+    grown, on every path that reaches it."""
+
+    @pytest.fixture(autouse=True)
+    def no_growing(self, monkeypatch):
+        def refuse(task):
+            raise AssertionError("a census was grown before job_count was checked")
+
+        monkeypatch.setattr(census, "_grow", refuse)
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_library_refuses(self, jobs):
+        for call in (
+            lambda: enumerate_tables(SearchConfig(n=7, job_count=jobs)),
+            lambda: enumerate_tables(SearchConfig(n=3, want_magmas=True, emit=True, job_count=jobs)),
+            lambda: dm_table(4, job_count=jobs),
+            lambda: dm_table(7, job_count=jobs),
+            lambda: run_audit(n_max=6, jobs=jobs),
+        ):
+            with pytest.raises(ValueError, match="job_count must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--n", "4", "--dm-table", "--jobs", "0"],
+            ["census", "--n", "7", "--jobs", "0"],
+            ["audit", "--n-max", "6", "--jobs", "0"],
+            ["audit", "--n-max", "2", "--jobs", "-5"],
+        ],
+    )
+    def test_cli_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: job_count must be >= 1\n"
 
 
 class TestResultJson:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from distmon import table
+from distmon import census, table
 from distmon.cli import main
 
 
@@ -135,11 +135,43 @@ class TestCensus:
         assert code == 0
         assert out.strip() == "10850216"
 
-    def test_dm_table_csv(self, capsys):
+    def test_dm_table_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "census", "--n", "3", "--dm-table")
         assert code == 0
         assert out.splitlines()[0] == "n,k,count"
         assert out == "n,k,count\n1,1,1\n2,1,1\n2,2,1\n3,1,1\n3,2,4\n3,3,1\n"
+        path = tmp_path / "rows.csv"
+        code, to_file, _ = run(capsys, "census", "--n", "3", "--dm-table", "--csv", str(path))
+        assert code == 0 and to_file == ""
+        assert path.read_text() == out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n", "4", "--dm-table", "--emit", "DIR", "--magmas"],
+            ["--n", "4", "--dm-table", "--emit", "DIR"],
+            ["--n", "4", "--dm-table", "--magmas"],
+            ["--n", "3", "--dm-table", "--count-only", "--arch", "2"],
+            ["--n", "3", "--dm-table", "--arch", "2"],
+            ["--n", "3", "--dm-table", "--count-only"],
+            ["--n", "3", "--csv", "FILE"],
+            ["--n", "3", "--emit", "DIR", "--csv", "FILE"],
+            ["--n", "3", "--dm-table", "--csv", ""],
+        ],
+    )
+    def test_ignored_flag_exits_2(self, capsys, tmp_path, flags):
+        # a flag the chosen mode would not use is refused, not dropped
+        paths = {"DIR": str(tmp_path / "out"), "FILE": str(tmp_path / "rows.csv")}
+        code, out, err = run(capsys, "census", *(paths.get(f, f) for f in flags))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_dm_table_n_below_1_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "census", "--dm-table", "--n", n)
+        assert (code, out, err) == (2, "", "error: census requires n >= 1\n")
+        assert census.dm_table(0) == []
 
 
 class TestFormula:
