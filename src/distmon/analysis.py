@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Sequence
 
 from .errors import NotAssociativeError, check_scale
 from .table import AdditionTable, _multiples, fold_oplus, from_entries
@@ -52,34 +51,31 @@ def _require_monoid(t: AdditionTable, op: str) -> None:
         raise NotAssociativeError(f"{op} requires an associative table")
 
 
-def _row_masks(row: Sequence[int], n: int) -> tuple[int, list[int]]:
-    """Absorption data of row u: (bad, img).
-
-    bad is the mask of sums s that u fails to absorb (u + s != s); img[v]
-    is the mask {u + w : w >= v} for v = 0..n, with img[n + 1] = 0.
-    """
-    bad = 0
-    for s in range(n + 1):
-        if row[s] != s:
-            bad |= 1 << s
-    img = [0] * (n + 2)
-    acc = 0
-    for v in range(n, -1, -1):
-        acc |= 1 << row[v]
-        img[v] = acc
-    return bad, img
-
-
-def _arch_threshold(bad: Sequence[int], row_img: Sequence[Sequence[int]], n: int) -> int:
-    """Absorption threshold from per-row masks; assumes associativity.
+def arch_complexity(t: AdditionTable) -> int:
+    """Archimedean complexity via the reachable-sums dynamic program.
 
     reach(r, m) = indices expressible as a sum of m elements all >= r, kept
     as bitmasks.  reach(r, 1) = {r..n}; reach(r, m+1) = {u+v : u in
-    reach(r, m), v >= r}.  The threshold is the first m where every r
+    reach(r, m), v >= r}.  The complexity is the first m where every r
     absorbs all of reach(r, m); it exists because absorption at m implies
-    absorption at m+1 and always holds at m = n.  bad[r] and row_img[u]
-    are _row_masks of rows r = 1..n and u = 0..n.
+    absorption at m+1 and always holds at m = n.  bad[r] is the mask of
+    sums s that r fails to absorb (r + s != s), and img[u][v] the mask
+    {u + w : w >= v}.
     """
+    _require_monoid(t, "arch_complexity")
+    n = t.n
+    if n < 1:
+        raise ValueError("Archimedean complexity is undefined for n = 0")
+    bad = []
+    img = []
+    for row in t.entries:
+        bad.append(sum(1 << s for s in range(n + 1) if row[s] != s))
+        suffix = [0] * (n + 1)
+        acc = 0
+        for v in range(n, -1, -1):
+            acc |= 1 << row[v]
+            suffix[v] = acc
+        img.append(suffix)
     full = (1 << (n + 1)) - 1
     reach = [(full >> r) << r for r in range(n + 1)]
     for m in range(1, n + 1):
@@ -95,19 +91,10 @@ def _arch_threshold(bad: Sequence[int], row_img: Sequence[Sequence[int]], n: int
             mask = reach[r]
             while mask:
                 low = mask & -mask
-                acc |= row_img[low.bit_length() - 1][r]
+                acc |= img[low.bit_length() - 1][r]
                 mask ^= low
             reach[r] = acc
     raise AssertionError("absorption must hold by m = n on an associative table")
-
-
-def arch_complexity(t: AdditionTable) -> int:
-    """Archimedean complexity via the reachable-sums dynamic program."""
-    _require_monoid(t, "arch_complexity")
-    if t.n < 1:
-        raise ValueError("Archimedean complexity is undefined for n = 0")
-    masks = [_row_masks(row, t.n) for row in t.entries]
-    return _arch_threshold([bad for bad, _ in masks], [img for _, img in masks], t.n)
 
 
 def chains_absorb(t: AdditionTable, m: int) -> bool:
@@ -124,14 +111,12 @@ def chains_absorb(t: AdditionTable, m: int) -> bool:
     return True
 
 
-def arch_complexity_naive(
-    t: AdditionTable, limit: int = NAIVE_ORACLE_LIMIT, override: bool = False
-) -> int:
+def arch_complexity_naive(t: AdditionTable) -> int:
     """Oracle for arch_complexity by brute chain enumeration."""
     _require_monoid(t, "arch_complexity_naive")
     if t.n < 1:
         raise ValueError("Archimedean complexity is undefined for n = 0")
-    check_scale("naive-oracle n", t.n, limit, override)
+    check_scale("naive-oracle n", t.n, NAIVE_ORACLE_LIMIT)
     for m in range(1, t.n + 1):
         if chains_absorb(t, m):
             return m

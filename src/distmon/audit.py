@@ -96,10 +96,12 @@ def run_audit(
     n_max: int,
     deep: bool = False,
     jobs: int = 1,
-    scale_override: bool = False,
     census_hook: Callable[[CensusResult], CensusResult] | None = None,
 ) -> AuditReport:
     """Run the full battery of cross-checks up to n_max.
+
+    n_max past MONOID_GUARD needs DISTMON_SCALE_OVERRIDE=1, and without
+    it check (c) stops at MAGMA_GUARD; the deep census lifts its own guard.
 
     census_hook is a test seam: it may transform each census result before
     the checks see it, so the harness itself can be shown to catch faults.
@@ -107,7 +109,7 @@ def run_audit(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     # the largest census is guarded before the smaller ones spend time
-    check_scale("monoid census n", n_max, MONOID_GUARD, scale_override)
+    check_scale("monoid census n", n_max, MONOID_GUARD)
     records: list[CheckRecord] = []
 
     def add(name: str, parameters: dict, expected, actual) -> None:
@@ -122,14 +124,10 @@ def run_audit(
         last = now
 
     # magma counts come from the DP, attached to the monoid census of each n
-    magma_top = n_max
-    if not (scale_override or scale_override_active()):
-        magma_top = min(n_max, MAGMA_GUARD)
+    magma_top = n_max if scale_override_active() else min(n_max, MAGMA_GUARD)
 
     def census(n: int) -> CensusResult:
-        result = enumerate_tables(
-            SearchConfig(n=n, emit=True, job_count=jobs, scale_override=scale_override)
-        )
+        result = enumerate_tables(SearchConfig(n=n, emit=True, job_count=jobs))
         if n <= magma_top:
             result = replace(result, magma_count=count_magmas(n))
         if census_hook is not None:

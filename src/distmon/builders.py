@@ -3,6 +3,10 @@
 All real-valued constructions run on exact rationals (fractions.Fraction):
 the floor comparisons the cross-checks rely on fall exactly on integer
 boundaries, which is where floating point would betray us.
+
+Each constructor checks what it builds and raises AssertionError on a
+mismatch.  The checks are explicit raises, not asserts, so they survive
+python -O.
 """
 
 from __future__ import annotations
@@ -175,8 +179,10 @@ def build_complexity2(spec: Complexity2Spec) -> AdditionTable:
                     entries[g(j, s)][g(i, u)] = target
 
     t = from_entries(n, entries)
-    assert validate(t).is_monoid, "complexity-2 construction must be associative"
-    assert arch_complexity(t) == 2, "complexity-2 construction must have arch 2"
+    if not validate(t).is_monoid:
+        raise AssertionError("complexity-2 construction must be associative")
+    if arch_complexity(t) != 2:
+        raise AssertionError("complexity-2 construction must have arch 2")
     return t
 
 
@@ -198,9 +204,7 @@ def _chain_options(j: int, nj: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def enumerate_complexity2(
-    n: int, override: bool = False, limit: int = ENUMERATE_C2_GUARD
-) -> list[AdditionTable]:
+def enumerate_complexity2(n: int) -> list[AdditionTable]:
     """Every complexity-2 monoid on n nonzero elements, pairwise distinct.
 
     Iterates compositions (colex) and, per later class, its nested
@@ -208,7 +212,7 @@ def enumerate_complexity2(
     """
     if n < 2:
         raise ValueError("complexity 2 requires n >= 2")
-    check_scale("enumerate_complexity2 n", n, limit, override)
+    check_scale("enumerate_complexity2 n", n, ENUMERATE_C2_GUARD)
     specs: list[Complexity2Spec] = []
     for comp in compositions(n):
         k = len(comp)
@@ -217,10 +221,13 @@ def enumerate_complexity2(
         per_class = [_chain_options(j, comp[j - 1]) for j in range(2, k + 1)]
         for chains in product(*per_class):
             specs.append(Complexity2Spec(comp, chains))
-    assert len(set(specs)) == len(specs)
+    if len(set(specs)) != len(specs):
+        raise AssertionError("specs must be pairwise distinct")
     tables = [build_complexity2(s) for s in specs]
-    assert len(set(tables)) == len(tables), "spec-to-table map must be injective"
-    assert len(tables) == dm_n_2(n)
+    if len(set(tables)) != len(tables):
+        raise AssertionError("spec-to-table map must be injective")
+    if len(tables) != dm_n_2(n):
+        raise AssertionError("table count must equal dm_n_2(n)")
     return tables
 
 
@@ -254,16 +261,20 @@ def lower_bound_family(
         ]
         values = sorted([Fraction(v) for v in range(1, n - k + 1)] + irrationals)
         t, is_monoid = sup_monoid(values)
-        assert is_monoid, "sup-addition over this carrier must be associative"
+        if not is_monoid:
+            raise AssertionError("sup-addition over this carrier must be associative")
         cap = n - k
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 want = min(int(values[a - 1] + values[b - 1]), cap)
                 got = values[t.entries[a][b] - 1]
-                assert got == want, "floor shortcut disagrees with sup-addition"
-        assert arch_complexity(t) == n - k
+                if got != want:
+                    raise AssertionError("floor shortcut disagrees with sup-addition")
+        if arch_complexity(t) != n - k:
+            raise AssertionError("family member must have complexity n - k")
         members.append(t)
-    assert len(set(members)) == len(members), "family members must be distinct tables"
+    if len(set(members)) != len(members):
+        raise AssertionError("family members must be distinct tables")
     return members
 
 
@@ -282,17 +293,16 @@ def counterexample_values(m: int) -> list[int]:
     return values
 
 
-def counterexample_family(
-    m: int, override: bool = False, limit: int = COUNTEREXAMPLE_GUARD
-) -> AdditionTable:
+def counterexample_family(m: int) -> AdditionTable:
     """Sup-addition monoid over counterexample_values(m); carrier sizes
     2, 5, 11, 23, 47 for m = 2..6.  Associativity of every intermediate
     step is verified in full rather than taken on faith."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    check_scale("counterexample step", m, limit, override)
+    check_scale("counterexample step", m, COUNTEREXAMPLE_GUARD)
     table = None
     for step in range(2, m + 1):
         table, is_monoid = sup_monoid(counterexample_values(step))
-        assert is_monoid, f"step {step} of the construction must be associative"
+        if not is_monoid:
+            raise AssertionError(f"step {step} of the construction must be associative")
     return table

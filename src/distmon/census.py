@@ -27,7 +27,7 @@ parent as bitmask tests and each is checked at the last row it involves,
 so every child of P is produced once and nothing else is.
 
 Complexity.  arch is the least k such that every r >= 1 absorbs reach(r,
-k), the sums of k elements >= r (analysis._arch_threshold).  reach(r,
+k), the sums of k elements >= r (analysis.arch_complexity).  reach(r,
 k+1) lies in reach(r, k) (add the last two summands first), and the cap
 maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
 * arch(M) >= p: absorption in M caps to absorption in P.
@@ -78,7 +78,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
 from typing import Iterator
@@ -261,10 +261,12 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
     return [tuple(T[o] for o in offsets) for T in _magma_walk(n, config.prefix_depth)]
 
 
+@cache
 def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
     """Bit masks shared by every parent with m - 1 elements: bit[x][y] is
     the bit of cell {x, y} (x, y < m), and span[s][t] covers cells (s, y)
-    for y = t..m-1 (span[s][m] = 0)."""
+    for y = t..m-1 (span[s][m] = 0).  Built once per process and level;
+    callers only read them."""
     bit = [[0] * m for _ in range(m)]
     for x in range(m):
         for y in range(x, m):
@@ -291,14 +293,13 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
     if root[0] == n:
         return counts, [(bytes(root[1]), root[2])] if keep else []
-    masks = {m: _level_bits(m) for m in range(root[0] + 1, n + 1)}
     kept = []
     stack = [root]
     while stack:
         level, P, p = stack.pop()
         m = level + 1
         q = level
-        bit, span = masks[m]
+        bit, span = _level_bits(m)
         tally = counts[m]
         # g[d]: the first column where row d of P reaches q
         g = [q] * m
@@ -487,14 +488,12 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
     )
 
 
-def dm_table(
-    n_max: int, scale_override: bool = False, job_count: int = 1
-) -> list[list[int]]:
+def dm_table(n_max: int, job_count: int = 1) -> list[list[int]]:
     """Rows n = 1..n_max of monoid counts by complexity k = 1..n, all read
     from one truncation census up to n_max."""
     if n_max < 1:
         return []
-    check_scale("monoid census n", n_max, MONOID_GUARD, scale_override)
+    check_scale("monoid census n", n_max, MONOID_GUARD)
     counts = _truncation_counts(n_max, job_count)[0]
     return [[counts[n].get(k, 0) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
 

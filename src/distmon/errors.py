@@ -24,8 +24,9 @@ def scale_override_active() -> bool:
 def check_scale(what: str, value: int, limit: int, override: bool = False) -> None:
     """Raise ScaleGuardError unless value <= limit or an override is active.
 
-    Overrides: the explicit `override` flag, or the environment variable
-    DISTMON_SCALE_OVERRIDE=1.
+    DISTMON_SCALE_OVERRIDE=1 lifts every guard.  The `override` flag is
+    for a census run from the library, which passes
+    SearchConfig.scale_override; every other guard has the variable alone.
     """
     if value <= limit or override or scale_override_active():
         return

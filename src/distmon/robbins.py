@@ -37,11 +37,15 @@ ROBBINS_NUMBERS: dict[int, int] = {
 
 
 def robbins_number(n: int) -> int:
-    """A(n) via the product formula, exact."""
+    """A(n) via the product formula, exact.
+
+    AssertionError, even under python -O, if the product is not an integer.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     value = Fraction(1)
     for j in range(n):
         value *= Fraction(factorial(3 * j + 1), factorial(n + j))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError(f"the product formula gave a non-integer at n={n}")
     return value.numerator

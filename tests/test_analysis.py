@@ -16,7 +16,7 @@ from distmon.analysis import (
     idempotents,
 )
 from distmon.builders import counterexample_family
-from distmon.errors import NotAssociativeError, ScaleGuardError
+from distmon.errors import SCALE_OVERRIDE_ENV, NotAssociativeError, ScaleGuardError
 from distmon.table import capped_naturals, fold_oplus, from_upper_triangle, max_monoid
 
 NONASSOC_3 = from_upper_triangle(3, (2, 2, 3, 3, 3, 3))
@@ -53,10 +53,12 @@ class TestArchComplexity:
         assert arch_complexity_naive(capped_naturals(4)) == 4
         assert arch_complexity_naive(example_monoid) == 3
 
-    def test_naive_scale_guard(self):
+    def test_naive_scale_guard(self, monkeypatch):
+        monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
         with pytest.raises(ScaleGuardError):
             arch_complexity_naive(max_monoid(7))
-        assert arch_complexity_naive(max_monoid(7), override=True) == 1
+        monkeypatch.setenv(SCALE_OVERRIDE_ENV, "1")
+        assert arch_complexity_naive(max_monoid(7)) == 1
 
     def test_absorption_monotone_in_chain_length(self, census_cache):
         # absorption at m must persist at m+1; checked on every small monoid

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from distmon import analysis, builders
 from distmon.analysis import ap_profile, arch_complexity, decompose
 from distmon.builders import (
     Complexity2Spec,
@@ -12,7 +17,7 @@ from distmon.builders import (
     lower_bound_family,
     sup_monoid,
 )
-from distmon.errors import ScaleGuardError
+from distmon.errors import SCALE_OVERRIDE_ENV, ScaleGuardError
 from distmon.formulas import dm_n_2
 from distmon.table import capped_naturals, validate
 
@@ -129,6 +134,30 @@ class TestBuildComplexity2:
                     for r in range(1, hi_i + 1):
                         assert t.oplus(r, target) == target
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_wrong_arch_raises_even_under_python_O(self, flags):
+        script = (
+            "from distmon import builders\n"
+            "builders.arch_complexity = lambda t: 3\n"
+            "spec = builders.Complexity2Spec((2,), ())\n"
+            "try:\n"
+            "    print(builders.build_complexity2(spec).n)\n"
+            "except AssertionError as exc:\n"
+            "    print('AssertionError:', exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "AssertionError: complexity-2 construction must have arch 2\n"
+        )
+
 
 class TestEnumerateComplexity2:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 14)])
@@ -216,3 +245,26 @@ class TestCounterexampleFamily:
             counterexample_family(1)
         with pytest.raises(ScaleGuardError):
             counterexample_family(7)
+
+
+# each guard is read when its entry point is called, and only the
+# environment variable lifts it
+@pytest.mark.parametrize(
+    "module,guard,call,expected",
+    [
+        (analysis, "NAIVE_ORACLE_LIMIT",
+         lambda: analysis.arch_complexity_naive(capped_naturals(3)), 3),
+        (builders, "ENUMERATE_C2_GUARD",
+         lambda: len(builders.enumerate_complexity2(3)), 4),
+        (builders, "COUNTEREXAMPLE_GUARD",
+         lambda: builders.counterexample_family(3).n, 5),
+    ],
+    ids=["naive-oracle", "complexity2", "counterexample"],
+)
+def test_guard_read_at_call_time(monkeypatch, module, guard, call, expected):
+    monkeypatch.setattr(module, guard, 2)
+    monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
+    with pytest.raises(ScaleGuardError, match=r"=3 exceeds the desk-scale guard \(2\)"):
+        call()
+    monkeypatch.setenv(SCALE_OVERRIDE_ENV, "1")
+    assert call() == expected

@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distmon import formulas
 from distmon.cli import main
-
 from distmon.formulas import (
     CeilingMap,
     _count_chains_explicit,
@@ -201,8 +201,13 @@ class TestChainCounts:
     def test_explicit_enumeration_full_grid(self, n, k):
         assert _count_chains_explicit(n, k) == (k + 1) ** (n - 1)
 
-    def test_forced_check_path(self):
-        assert count_A_chains(4, 3, check=True) == 4**3
+    def test_forced_check_path(self, monkeypatch):
+        # (4, 3) has 64 chains, so the self-check enumerates them; past
+        # 300,000 chains, as at (20, 1), it does not
+        monkeypatch.setattr(formulas, "_count_chains_explicit", lambda n, k: 0)
+        with pytest.raises(AssertionError, match=r"\(n=4, k=3\): 0 != 64"):
+            count_A_chains(4, 3)
+        assert count_A_chains(20, 1) == 2**19
 
 
 class TestExactness:
