@@ -36,6 +36,7 @@ from .census import (
     dm_table_csv,
     enumerate_tables,
     partition_work,
+    stream_tables,
 )
 from .errors import NotAssociativeError, ScaleGuardError, TableFormatError
 from .formulas import (
@@ -112,6 +113,7 @@ __all__ = [
     "robbins_number",
     "run_audit",
     "stirling2",
+    "stream_tables",
     "sup_monoid",
     "validate",
 ]

@@ -55,6 +55,8 @@ order in which the row generator below emits magmas: in the flat
 row-major table every entry below the diagonal mirrors an earlier upper
 cell, so the first byte where two tables differ is their first differing
 upper cell.  The order is global, so it does not depend on job_count.
+Only the (bytes, arch) pairs are held: stream_tables() builds each
+emitted table, monoid or magma, when its caller reaches it.
 
 The row generator.  Row i of a magma table at columns i..n is
 nondecreasing, bounded above by n and below, cell by cell, by row i-1 at
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
@@ -115,10 +117,17 @@ class SearchConfig:
             if not 1 <= self.arch_filter <= self.n:
                 raise ValueError(f"arch_filter must be in 1..{self.n}")
 
+    def check_scale(self) -> None:
+        """Raise ScaleGuardError if this census is past a desk-scale guard."""
+        check_scale("monoid census n", self.n, MONOID_GUARD, self.scale_override)
+        if self.want_magmas:
+            check_scale("magma census n", self.n, MAGMA_GUARD, self.scale_override)
+
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Counts of one census, and the tables it emitted, if any.
+    """Counts of one census, and the tables it emitted, if any (None from
+    stream_tables(), which streams them instead).
 
     emitted_arch runs parallel to emitted: emitted_arch[i] is the
     Archimedean complexity of emitted[i], read from the truncation census
@@ -447,44 +456,67 @@ def _truncation_counts(
     return counts, kept
 
 
-def enumerate_tables(config: SearchConfig) -> CensusResult:
-    """Run the census described by `config`.
+def stream_tables(
+    config: SearchConfig,
+) -> tuple[CensusResult, Iterator[tuple[AdditionTable, int | None]]]:
+    """Run the census described by `config`, and stream what it emits.
+
+    Returns the census's counts, with emitted None, and an iterator of
+    (table, arch) pairs in the order enumerate_tables() puts in emitted;
+    arch is None for magmas, and the iterator is empty unless config.emit.
+    Each table is built only when the iterator reaches it, so a caller
+    that reads the stream table by table holds one at a time.
 
     Monoid statistics (monoid_count, by_arch) always come from the
     truncation census, whose pool job_count sizes.  magma_count is
     computed only when want_magmas is set, by count_magmas() in this
-    process.  Emission collects monoids from the same truncation census,
-    restricted by arch_filter when given, with the complexity of each in
-    emitted_arch, or, when want_magmas, magmas from one sequential
-    row-by-row walk (emitted_arch None).  prefix_depth is validated but
-    splits nothing.  Results are independent of job_count and prefix_depth.
+    process.  Emission streams monoids from the same truncation census,
+    restricted by arch_filter when given, with the complexity of each,
+    or, when want_magmas, magmas from one sequential row-by-row walk.
+    prefix_depth is validated but splits nothing.  Results are
+    independent of job_count and prefix_depth.
     """
     n = config.n
-    check_scale("monoid census n", n, MONOID_GUARD, config.scale_override)
-    if config.want_magmas:
-        check_scale("magma census n", n, MAGMA_GUARD, config.scale_override)
-
+    config.check_scale()
     emit_monoids = config.emit and not config.want_magmas
     counts, kept = _truncation_counts(n, config.job_count, keep=emit_monoids)
-    emitted = emitted_arch = None
     if emit_monoids:
         if config.arch_filter is not None:
             kept = [pair for pair in kept if pair[1] == config.arch_filter]
-        emitted = tuple(AdditionTable(n, _rows(T, n)) for T, _ in kept)
-        emitted_arch = tuple(arch for _, arch in kept)
+        tables = ((AdditionTable(n, _rows(T, n)), arch) for T, arch in kept)
     elif config.emit:
-        emitted = tuple(
-            AdditionTable(n, _rows(T, n)) for T in _magma_walk(n, n * (n + 1) // 2)
+        tables = (
+            (AdditionTable(n, _rows(T, n)), None) for T in _magma_walk(n, n * (n + 1) // 2)
         )
+    else:
+        tables = iter(())
 
     by_arch = dict(sorted(counts[n].items()))
-    return CensusResult(
+    result = CensusResult(
         n=n,
         magma_count=count_magmas(n) if config.want_magmas else None,
         monoid_count=sum(by_arch.values()),
         by_arch=by_arch,
-        emitted=emitted,
-        emitted_arch=emitted_arch,
+        emitted=None,
+    )
+    return result, tables
+
+
+def enumerate_tables(config: SearchConfig) -> CensusResult:
+    """Run the census described by `config`, holding every emitted table.
+
+    The same census as stream_tables(), with its stream collected into
+    emitted and, for monoids, the complexity of each into emitted_arch
+    (None for magma emission and when nothing is emitted).
+    """
+    result, tables = stream_tables(config)
+    if not config.emit:
+        return result
+    pairs = tuple(tables)
+    return replace(
+        result,
+        emitted=tuple(t for t, _ in pairs),
+        emitted_arch=None if config.want_magmas else tuple(arch for _, arch in pairs),
     )
 
 

@@ -73,12 +73,15 @@ def _cmd_census(args) -> int:
         job_count=args.jobs,
         prefix_depth=args.prefix_depth,
     )
-    result = census.enumerate_tables(config)
     if args.emit is not None:
+        # the guard, then a path that cannot be a directory, fail before
+        # the census runs
+        config.check_scale()
         os.makedirs(args.emit, exist_ok=True)
-        stem = "magma" if args.magmas else "monoid"
-        for idx, t in enumerate(result.emitted):
-            table.dump(t, os.path.join(args.emit, f"{stem}_{idx:06d}.json"))
+    result, tables = census.stream_tables(config)
+    stem = "magma" if args.magmas else "monoid"
+    for idx, (t, _) in enumerate(tables):
+        table.dump(t, os.path.join(args.emit, f"{stem}_{idx:06d}.json"))
     if args.count_only:
         if args.arch is not None:
             print(result.by_arch.get(args.arch, 0))

@@ -32,5 +32,5 @@ def check_scale(what: str, value: int, limit: int, override: bool = False) -> No
         return
     raise ScaleGuardError(
         f"{what}={value} exceeds the desk-scale guard ({limit}); "
-        f"pass an override or set {SCALE_OVERRIDE_ENV}=1"
+        f"set {SCALE_OVERRIDE_ENV}=1 to lift it"
     )

@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from distmon.builders import sup_monoid
 from distmon.census import SearchConfig, enumerate_tables
+from distmon.table import AdditionTable
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +29,18 @@ def census_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture()
+def live_tables():
+    """A function counting the AdditionTables alive that were not alive
+    when the test began (those are held here, so no new table reuses an id)."""
+    held = {id(o): o for o in gc.get_objects() if isinstance(o, AdditionTable)}
+
+    def count() -> int:
+        gc.collect()
+        return sum(
+            1 for o in gc.get_objects() if isinstance(o, AdditionTable) and id(o) not in held
+        )
+
+    return count

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -43,17 +44,18 @@ class TestRunAudit:
 
         monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
         monkeypatch.setattr(audit, "enumerate_tables", refuse)
+        monkeypatch.setattr(audit, "stream_tables", refuse)
         with pytest.raises(ScaleGuardError, match="monoid census n=9"):
             run_audit(9)
 
 
 class TestFaultInjection:
     def test_corrupted_by_arch_is_caught(self):
-        def corrupt(res):
+        def corrupt(res, tables):
             by_arch = dict(res.by_arch)
             if res.n == 3 and 2 in by_arch:
                 by_arch[2] += 1
-            return replace(res, by_arch=by_arch, monoid_count=sum(by_arch.values()))
+            return replace(res, by_arch=by_arch, monoid_count=sum(by_arch.values())), tables
 
         report = run_audit(3, census_hook=corrupt)
         assert not report.overall
@@ -61,22 +63,23 @@ class TestFaultInjection:
         assert "dm2-census-vs-formula" in failing
 
     def test_corrupted_magma_count_is_caught(self):
-        def corrupt(res):
+        def corrupt(res, tables):
             if res.magma_count is None:
-                return res
-            return replace(res, magma_count=res.magma_count + 1)
+                return res, tables
+            return replace(res, magma_count=res.magma_count + 1), tables
 
         report = run_audit(2, census_hook=corrupt)
         assert not report.overall
         assert any(r.name == "magma-count-vs-robbins" for r in report.failures)
 
     def test_corrupted_emitted_arch_is_caught(self):
-        def corrupt(res):
+        def corrupt(res, tables):
             if res.n != 4:
-                return res
-            archs = list(res.emitted_arch)
+                return res, tables
+            pairs = list(tables)
+            archs = [arch for _, arch in pairs]
             archs[archs.index(2)] = 3
-            return replace(res, emitted_arch=tuple(archs))
+            return res, ((t, arch) for (t, _), arch in zip(pairs, archs))
 
         report = run_audit(4, census_hook=corrupt)
         failing = {(r.name, r.parameters.get("n")) for r in report.failures}
@@ -118,3 +121,50 @@ class TestTimings:
         )
         assert stopped == report
         assert stopped.to_json_dict() == report.to_json_dict()
+
+    def test_every_splitting_record_has_its_own_time(self):
+        splitting = [
+            r for r in run_audit(6).records if r.name == "class-splitting-agreement"
+        ]
+        assert [r.parameters["n"] for r in splitting] == [1, 2, 3, 4, 5, 6]
+        assert all(r.elapsed_s > 0 for r in splitting if r.parameters["n"] >= 2)
+
+    def test_per_table_time_goes_to_its_own_check(self, monkeypatch):
+        # checks run interleaved, table by table; each record still carries
+        # only the seconds of its own check
+        real = audit.decompose
+
+        def slow(t):
+            if t.n == 4:
+                time.sleep(0.02)  # 22 monoids: 0.44 s in all
+            return real(t)
+
+        monkeypatch.setattr(audit, "decompose", slow)
+        report = run_audit(5)
+        slowed = [
+            r for r in report.records
+            if (r.name, r.parameters["n"]) == ("class-splitting-agreement", 4)
+        ]
+        assert slowed[0].elapsed_s >= 0.44
+        assert all(r.elapsed_s < 0.2 for r in report.records if r is not slowed[0])
+        assert report.census_s < 0.2
+
+
+class TestMemory:
+    def test_audit_holds_few_tables(self, monkeypatch, live_tables):
+        # each census is one streamed pass; holding every emitted monoid
+        # would keep the 2,386 tables on 7 elements alive at once
+        real = audit.decompose
+        calls = Counter()
+        samples = []
+
+        def sampling(t):
+            calls[t.n] += 1
+            if t.n == 7 and calls[7] % 500 == 0:
+                samples.append(live_tables())
+            return real(t)
+
+        monkeypatch.setattr(audit, "decompose", sampling)
+        assert run_audit(7).overall
+        assert len(samples) == 4
+        assert max(samples) <= 3

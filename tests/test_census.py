@@ -20,6 +20,7 @@ from distmon.census import (
     dm_table_csv,
     enumerate_tables,
     partition_work,
+    stream_tables,
 )
 from distmon.cli import main
 from distmon.errors import ScaleGuardError
@@ -394,6 +395,37 @@ class TestEmission:
         result = enumerate_tables(SearchConfig(n=4, want_magmas=want_magmas))
         assert result.emitted is None
         assert result.emitted_arch is None
+
+
+class TestStream:
+    """stream_tables() is the one census path; enumerate_tables() collects it."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(n=6, emit=True),
+            SearchConfig(n=6, emit=True, arch_filter=3),
+            SearchConfig(n=8, emit=True, job_count=2),
+            SearchConfig(n=4, want_magmas=True, emit=True),
+            SearchConfig(n=5, want_magmas=True),
+            SearchConfig(n=5),
+        ],
+    )
+    def test_stream_equals_enumerate_tables(self, config):
+        result, tables = stream_tables(config)
+        assert result.emitted is None and result.emitted_arch is None
+        pairs = list(tables)
+        full = enumerate_tables(config)
+        assert result == replace(full, emitted=None, emitted_arch=None)
+        if not config.emit:
+            assert pairs == [] and full.emitted is None
+            return
+        assert tuple(t for t, _ in pairs) == full.emitted
+        archs = tuple(arch for _, arch in pairs)
+        if config.want_magmas:
+            assert set(archs) == {None} and full.emitted_arch is None
+        else:
+            assert archs == full.emitted_arch
 
 
 class TestPartitioning:

@@ -124,6 +124,45 @@ class TestCensus:
         for path, t in zip(files, expected):
             assert table.load(path) == t
 
+    def test_bad_emit_path_fails_before_the_census(self, capsys, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the census ran before --emit made its directory")
+
+        monkeypatch.setattr(census, "stream_tables", refuse)
+        monkeypatch.setattr(census, "enumerate_tables", refuse)
+        path = tmp_path / "a-file"
+        path.write_text("")
+        code, out, err = run(capsys, "census", "--n", "3", "--emit", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 17] File exists") and err.count("\n") == 1
+
+    def test_guard_precedes_the_emit_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
+        code, _, err = run(capsys, "census", "--n", "9", "--emit", str(tmp_path / "out"))
+        assert code == 2 and "guard" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_emit_holds_few_tables(self, capsys, tmp_path, monkeypatch, live_tables):
+        # files are written as the magma walk reaches them; holding every
+        # table would keep all 7436 magmas on 6 elements alive at once
+        real = table.dump
+        samples = []
+        calls = 0
+
+        def sampling(t, path):
+            nonlocal calls
+            calls += 1
+            if calls % 1500 == 0:
+                samples.append(live_tables())
+            real(t, path)
+
+        monkeypatch.setattr(table, "dump", sampling)
+        outdir = tmp_path / "m6"
+        code, _, _ = run(capsys, "census", "--n", "6", "--magmas", "--emit", str(outdir))
+        assert code == 0
+        assert calls == len(list(outdir.iterdir())) == 7436
+        assert len(samples) == 4 and max(samples) <= 3
+
     def test_scale_guard_exit(self, capsys):
         code, _, err = run(capsys, "census", "--n", "9")
         assert code == 2
@@ -314,6 +353,15 @@ class TestBuild:
     def test_missing_required_arg(self, capsys):
         code, _, _ = run(capsys, "build", "sup")
         assert code == 2
+
+    def test_counterexample_guard_says_how_to_lift_it(self, capsys, monkeypatch):
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
+        code, out, err = run(capsys, "build", "counterexample", "--m", "7")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: counterexample step=7 exceeds the desk-scale guard (6); "
+            "set DISTMON_SCALE_OVERRIDE=1 to lift it\n"
+        )
 
 
 class TestAudit:
