@@ -27,14 +27,13 @@ from .analysis import (
 from .builders import enumerate_complexity2
 from .census import (
     MAGMA_GUARD,
-    MONOID_GUARD,
     CensusResult,
     SearchConfig,
     count_magmas,
     enumerate_tables,
     stream_tables,
 )
-from .errors import check_scale, scale_override_active
+from .errors import scale_override_active
 from .formulas import bell, dm_n_2, dm_near_top, lower_bound
 from .robbins import ROBBINS_NUMBERS
 
@@ -114,8 +113,9 @@ def run_audit(
 ) -> AuditReport:
     """Run the full battery of cross-checks up to n_max.
 
-    n_max past MONOID_GUARD needs DISTMON_SCALE_OVERRIDE=1, and without
-    it check (c) stops at MAGMA_GUARD; the deep census lifts its own guard.
+    n_max past the census guard (SearchConfig.check_scale; the deep census
+    is within it) needs DISTMON_SCALE_OVERRIDE=1, and without it check (c)
+    stops at MAGMA_GUARD.
 
     The census of each n is read in one pass over its streamed monoids:
     the per-table parts of checks (d), (e), (f) and (h) run as each table
@@ -129,7 +129,7 @@ def run_audit(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     # the largest census is guarded before the smaller ones spend time
-    check_scale("monoid census n", n_max, MONOID_GUARD)
+    SearchConfig(n=n_max).check_scale()
     records: list[CheckRecord] = []
     spent: Counter = Counter()
     mark = time.perf_counter()
@@ -271,9 +271,7 @@ def run_audit(
 
     # (i) the one formula nothing smaller can reach: complexity n-2 at n = 9
     if deep:
-        deep_census = enumerate_tables(
-            SearchConfig(n=DEEP_N, job_count=jobs, scale_override=True)
-        )
+        deep_census = enumerate_tables(SearchConfig(n=DEEP_N, job_count=jobs))
         if census_hook is not None:
             deep_census, _ = census_hook(deep_census, iter(()))
         add(

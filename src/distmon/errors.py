@@ -21,14 +21,11 @@ def scale_override_active() -> bool:
     return os.environ.get(SCALE_OVERRIDE_ENV) == "1"
 
 
-def check_scale(what: str, value: int, limit: int, override: bool = False) -> None:
-    """Raise ScaleGuardError unless value <= limit or an override is active.
-
-    DISTMON_SCALE_OVERRIDE=1 lifts every guard.  The `override` flag is
-    for a census run from the library, which passes
-    SearchConfig.scale_override; every other guard has the variable alone.
-    """
-    if value <= limit or override or scale_override_active():
+def check_scale(what: str, value: int, limit: int) -> None:
+    """Raise ScaleGuardError unless value <= limit or DISTMON_SCALE_OVERRIDE=1,
+    the one way past every guard.  Callers pass their guard constant when
+    they are called, so each reads it then."""
+    if value <= limit or scale_override_active():
         return
     raise ScaleGuardError(
         f"{what}={value} exceeds the desk-scale guard ({limit}); "

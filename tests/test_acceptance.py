@@ -190,7 +190,7 @@ def test_criterion_8_lower_bound_sandwich(small_censuses, big_censuses):
 
 def test_criterion_9_deep_n9():
     t0 = time.monotonic()
-    result = enumerate_tables(SearchConfig(n=9, job_count=2, scale_override=True))
+    result = enumerate_tables(SearchConfig(n=9, job_count=2))
     elapsed = time.monotonic() - t0
     actual = result.by_arch.get(7, 0)
     expected = dm_near_top(9, 2)

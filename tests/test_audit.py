@@ -45,8 +45,16 @@ class TestRunAudit:
         monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
         monkeypatch.setattr(audit, "enumerate_tables", refuse)
         monkeypatch.setattr(audit, "stream_tables", refuse)
-        with pytest.raises(ScaleGuardError, match="monoid census n=9"):
-            run_audit(9)
+        with pytest.raises(ScaleGuardError, match="monoid census n=10"):
+            run_audit(10)
+
+    def test_deep_census_runs_within_the_guard(self, monkeypatch):
+        # check (i), the n = 9 census, needs no DISTMON_SCALE_OVERRIDE
+        monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
+        deep = [r for r in run_audit(1, deep=True, jobs=2).records if r.name.startswith("deep-")]
+        assert [(r.name, r.parameters, r.passed) for r in deep] == [
+            ("deep-near-top-2-vs-census", {"n": 9, "k": 2}, True)
+        ]
 
 
 class TestFaultInjection:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from distmon import analysis, builders
+from distmon import analysis, builders, census
 from distmon.analysis import ap_profile, arch_complexity, decompose
+from distmon.audit import run_audit
 from distmon.builders import (
     Complexity2Spec,
     build_complexity2,
@@ -17,7 +18,7 @@ from distmon.builders import (
     lower_bound_family,
     sup_monoid,
 )
-from distmon.errors import SCALE_OVERRIDE_ENV, ScaleGuardError
+from distmon.errors import SCALE_OVERRIDE_ENV, ScaleGuardError, scale_override_active
 from distmon.formulas import dm_n_2
 from distmon.table import capped_naturals, validate
 
@@ -247,6 +248,18 @@ class TestCounterexampleFamily:
             counterexample_family(7)
 
 
+def _audit_guarded_first(n_max):
+    """run_audit(n_max).overall, failing if a census runs while the
+    environment variable is unset: the audit's guard must refuse first."""
+
+    def hook(result, tables):
+        if not scale_override_active():
+            raise AssertionError("the audit ran a census before its guard")
+        return result, tables
+
+    return run_audit(n_max, census_hook=hook).overall
+
+
 # each guard is read when its entry point is called, and only the
 # environment variable lifts it
 @pytest.mark.parametrize(
@@ -258,8 +271,16 @@ class TestCounterexampleFamily:
          lambda: len(builders.enumerate_complexity2(3)), 4),
         (builders, "COUNTEREXAMPLE_GUARD",
          lambda: builders.counterexample_family(3).n, 5),
+        (census, "MONOID_GUARD",
+         lambda: census.enumerate_tables(census.SearchConfig(n=3)).monoid_count, 6),
+        (census, "MONOID_GUARD", lambda: census.dm_table(3)[2], [1, 4, 1]),
+        (census, "MONOID_GUARD", lambda: _audit_guarded_first(3), True),
+        (census, "MAGMA_GUARD",
+         lambda: len(census.enumerate_tables(
+             census.SearchConfig(n=3, want_magmas=True, emit=True)).emitted), 7),
     ],
-    ids=["naive-oracle", "complexity2", "counterexample"],
+    ids=["naive-oracle", "complexity2", "counterexample",
+         "census", "dm-table", "audit", "magma-emission"],
 )
 def test_guard_read_at_call_time(monkeypatch, module, guard, call, expected):
     monkeypatch.setattr(module, guard, 2)

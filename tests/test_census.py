@@ -98,11 +98,12 @@ class TestEnumerate:
         # counts still describe the full census
         assert result.monoid_count == 22
 
-    def test_scale_guards(self):
+    def test_scale_guards(self, monkeypatch):
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
         with pytest.raises(ScaleGuardError):
-            enumerate_tables(SearchConfig(n=9))
+            enumerate_tables(SearchConfig(n=10))
         with pytest.raises(ScaleGuardError):
-            enumerate_tables(SearchConfig(n=8, want_magmas=True))
+            enumerate_tables(SearchConfig(n=8, want_magmas=True, emit=True))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -291,7 +292,7 @@ class TestTruncation:
         assert enumerate_tables(SearchConfig(n=n)).by_arch == dict(sorted(walked.items()))
 
     def test_n9_on_two_jobs_equals_recorded_row(self):
-        result = enumerate_tables(SearchConfig(n=9, job_count=2, scale_override=True))
+        result = enumerate_tables(SearchConfig(n=9, job_count=2))
         assert [result.by_arch.get(k, 0) for k in range(1, 10)] == RECORDED_ROWS[9]
         assert result.monoid_count == 86417
 
@@ -553,9 +554,10 @@ class TestDmTable:
         monkeypatch.setattr(census, "enumerate_tables", refuse)
         assert dm_table(5)[4] == [1, 51, 33, 8, 1]
 
-    def test_scale_guard(self):
+    def test_scale_guard(self, monkeypatch):
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
         with pytest.raises(ScaleGuardError):
-            dm_table(9)
+            dm_table(10)
 
     def test_row5(self):
         rows = dm_table(5)

@@ -138,7 +138,7 @@ class TestCensus:
 
     def test_guard_precedes_the_emit_directory(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
-        code, _, err = run(capsys, "census", "--n", "9", "--emit", str(tmp_path / "out"))
+        code, _, err = run(capsys, "census", "--n", "10", "--emit", str(tmp_path / "out"))
         assert code == 2 and "guard" in err
         assert list(tmp_path.iterdir()) == []
 
@@ -163,8 +163,9 @@ class TestCensus:
         assert calls == len(list(outdir.iterdir())) == 7436
         assert len(samples) == 4 and max(samples) <= 3
 
-    def test_scale_guard_exit(self, capsys):
-        code, _, err = run(capsys, "census", "--n", "9")
+    def test_scale_guard_exit(self, capsys, monkeypatch):
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
+        code, _, err = run(capsys, "census", "--n", "10")
         assert code == 2
         assert "guard" in err
 
@@ -173,6 +174,17 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--n", "8", "--magmas", "--count-only")
         assert code == 0
         assert out.strip() == "10850216"
+
+    def test_magma_guard_covers_emission_alone(self, capsys, tmp_path, monkeypatch):
+        # the n = 8 magma count is a DP; only emission would walk the magmas
+        monkeypatch.delenv("DISTMON_SCALE_OVERRIDE", raising=False)
+        code, out, _ = run(capsys, "census", "--n", "8", "--magmas", "--count-only")
+        assert (code, out) == (0, "10850216\n")
+        outdir = tmp_path / "m8"
+        code, out, err = run(capsys, "census", "--n", "8", "--magmas", "--emit", str(outdir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: magma census n=8 exceeds the desk-scale guard (7)")
+        assert not outdir.exists()
 
     def test_dm_table_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "census", "--n", "3", "--dm-table")
