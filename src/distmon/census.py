@@ -22,9 +22,43 @@ the same P-sum, and a P-sum below q is exact, so only triples with P-sum
 q are checked, each bracketing being q or m.  (a+b)+c is m iff
 X[P[a][b]][c] when P[a][b] < q; when P[a][b] = q, a + b is q or m and
 (a+b)+c is m iff X[a][b] or X[q][c], which is X[q][c] because X is an
-up-set and c >= a.  These equations between bits are built once per
-parent as bitmask tests and each is checked at the last row it involves,
+up-set and c >= a.  Each equation is checked at the last row it involves,
 so every child of P is produced once and nothing else is.
+
+Row key.  (a+b)+c is the cell {P[a][b], c} in both cases.  Its row k =
+min(P[a][b], c) is >= b, since P[a][b] >= b and c >= b, and the other
+bracketings lie in row b ((a+c)+b, and (b+c)+a when P[b][c] = q, which is
+X[b][c] or X[q][a]) or in row a ((b+c)+a otherwise).  So k is the
+equation's row, and its first side, cell (k, y1) with y1 = max(P[a][b],
+c), is an m-cell iff u_k <= y1.  Each equation is filed under k as it is
+built.
+
+Triples with P[a][b] = q.  Every c >= b then has P-sum q, and the
+equations say X[c][q] = X[b][q] (b < c) and X[c][q] = X[b][c] or X[a][q]
+(a < b).  In an up-set every right side implies X[c][q], so only "X[c][q]
+implies the right side" is a constraint.  P[a][b] = q iff a >= g[b],
+where g[b] is the first column in which row b of P reaches q, and X[a][q]
+grows with a, so a = g[b] implies every other a.  P is monotone, so g
+never grows with the row: with b0 the least b with g[b] <= b, g[b] <= b
+iff b >= b0, and every b with P[a][b] = q for some a <= b is >= b0.
+"X[c][q] implies X[b0][q]" for every c > b0 then gives "X[c][q] implies
+X[b][q]" for b0 < b < c.  So these triples need b = b0 alone for the
+first kind of equation and a = g[b] alone for the second.  Every cell
+named here lies in rows <= c, the row of these equations, so the
+equations left reject the same rows as the whole set.
+
+Empty prefix.  While rows 1..r hold no m-cell, both sides of every
+equation of row r are 0, so the row is not tested.
+
+Saturated suffix.  Once u_r <= r + 1, u_s lies in [max(g[s], s), s] for
+s = r + 1, so u_s = s, and the same holds for every later row: rows s..q
+are forced to u_x = x.  P allows that, since g[s] <= g[r] <= u_r <= s,
+and g[x] <= g[s] <= s <= x for the later rows.  Then every cell of
+rows >= s is an m-cell, so every equation of a row >= s holds unless its
+other side lies wholly in rows < s and misses the m-cells so far.  Those
+sides are collected once per (parent, s), the single cells into one mask
+and the two-cell sides into a list, and one test of them decides the one
+child.
 
 Complexity.  arch is the least k such that every r >= 1 absorbs reach(r,
 k), the sums of k elements >= r (analysis.arch_complexity).  reach(r,
@@ -45,9 +79,12 @@ maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
   one mask per tau, computed once per parent, and a leaf tests it against
   its own m-cells.
 The levels m = 1..n are grown depth-first from an explicit stack.  From
-n = FORK_N on, each monoid on n - 3 elements roots one task; with
-job_count > 1 the tasks run in a process pool, and they merge in task
-order either way.
+n = FORK_N on, each monoid on n - 3 elements roots one task.  The tasks
+go largest first, ranked by the cells that hold the root's top element,
+where its children's m-cells can go, so the run ends on small tasks.
+With job_count > 1 they run in a process pool that takes them
+CHUNKS_PER_WORKER chunks per worker, not one message each, and they merge
+in task order either way.
 
 Emitted monoids are the level-n tables sorted by their bytes.  That is
 lexicographic order on the upper-triangle cells in row-major order, the
@@ -88,13 +125,20 @@ from typing import Iterator
 from .errors import check_scale
 from .table import AdditionTable
 
-# set by measured cost on 2 cores: the n = 9 census takes about 2 s, n = 10
-# about 18 s; magma emission writes 218,348 tables at n = 7, 10,850,216 at 8
+# set by measured cost on 2 shared cores (CLI, medians of 3 in each of two
+# sessions): the n = 9 census takes 1.9-2.6 s on one job and 1.3-1.5 s on
+# two, n = 10 7.4-10.3 s on two; magma emission writes 218,348 tables at
+# n = 7, 10,850,216 at 8
 MONOID_GUARD = 9
 MAGMA_GUARD = 7
 # the least n whose census forks: below it 2 workers cost more than they
 # save (median ms on 2 cores, 1 job vs 2: n = 7 82 vs 129, n = 8 557 vs 403)
 FORK_N = 8
+# the pool takes its tasks in this many chunks per worker.  The parent's CPU,
+# one task per message against chunks (3 runs, 2 cores, imports included):
+# n = 9 (451 tasks) 0.29-0.40 s vs 0.14-0.22 s, n = 10 (2,386) 1.2-1.4 s vs
+# 0.21-0.25 s.  The largest tasks go first, so the last chunks are short
+CHUNKS_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -278,10 +322,12 @@ def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
 
 
 @cache
-def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
+def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Bit masks shared by every parent with m - 1 elements: bit[x][y] is
-    the bit of cell {x, y} (x, y < m), and span[s][t] covers cells (s, y)
-    for y = t..m-1 (span[s][m] = 0).  Built once per process and level;
+    the bit of cell {x, y} (x, y < m), at position min * m + max, so the
+    cells of row x are the bits x*m .. x*m + m - 1; span[s][t] covers cells
+    (s, y) for y = t..m-1 (span[s][m] = 0); tail[s] covers the cells (x, y)
+    with s <= x <= y (tail[m] = 0).  Built once per process and level;
     callers only read them."""
     bit = [[0] * m for _ in range(m)]
     for x in range(m):
@@ -291,7 +337,10 @@ def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]]]:
     for s in range(m):
         for t in range(m - 1, -1, -1):
             span[s][t] = span[s][t + 1] | bit[s][t]
-    return bit, span
+    tail = [0] * (m + 1)
+    for s in range(m - 1, -1, -1):
+        tail[s] = tail[s + 1] | span[s][s]
+    return bit, span, tail
 
 
 def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
@@ -304,6 +353,15 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
     popped parent P of complexity p on q = m - 1 elements has its children
     on m elements found by a DFS over rows; all of it runs inline in this
     one frame, so the cost does not depend on the caller's stack depth.
+
+    Per parent, the equations are filed by row key as they are built,
+    without those that others imply when P[a][b] = q, and row r tests only
+    its own: the first side, cell (r, y1), is an m-cell iff t <= y1 (t
+    being the column where row r's m-cells start), the other is tested
+    against the m-cells so far.  A row with no m-cells so far is not
+    tested (empty prefix).  After u[r] <= r + 1, rows r + 1..q are forced
+    to u[x] = x, and one test of the sides below row r + 1 decides that
+    one child (saturated suffix).  The module docstring proves each rule.
     """
     n, root, keep = task
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
@@ -315,74 +373,111 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
         level, P, p = stack.pop()
         m = level + 1
         q = level
-        bit, span = _level_bits(m)
+        bit, span, tail = _level_bits(m)
         tally = counts[m]
-        # g[d]: the first column where row d of P reaches q
+        # g[d]: the first column where row d of P reaches q; b0: the first
+        # row d with g[d] <= d
         g = [q] * m
         for d in range(1, m):
-            c = 1
-            while P[d * m + c] != q:
-                c += 1
-            g[d] = c
-        # equations bool(X & Ma) == bool(X & Mb) between bracketings of the
-        # triples a <= b <= c with P-sum q, keyed by the last row they
-        # involve (a bracketing equal to another by commutativity is
-        # skipped).  (x+y)+z with P[x][y] = q is m iff X[x][y] or X[q][z],
-        # which is X[q][z] when z >= min(x, y)
-        pairs = set()
+            g[d] = P.index(q, d * m + 1, d * m + m) - d * m
+        b0 = 1
+        while g[b0] > b0:
+            b0 += 1
+        # the equations bool(X & e1) == bool(X & side) between bracketings
+        # of the triples a <= b <= c with P-sum q, a bracketing equal to
+        # another by commutativity skipped: eqs[k] holds (y1, side) for e1
+        # = cell (k, y1), k <= y1.  First the triples with P[a][b] < q,
+        # that is b < g[a]; (x+y)+z with P[x][y] = q is m iff X[x][y] or
+        # X[q][z], which is X[q][z] when z >= min(x, y)
+        eqs: list[list[tuple[int, int]]] = []
+        for _ in range(m):
+            eqs.append([])
         bq = bit[q]
         for a in range(1, m):
-            for b in range(a, m):
-                ab = P[a * m + b]
-                e1s = bit[ab] if ab < q else bq
+            Pa = P[a * m : a * m + m]
+            for b in range(a, g[a]):
+                ab = Pa[b]
+                e1s = bit[ab]
                 c0 = g[ab]
                 for c in range(b if b > c0 else c0, m):
                     e1 = e1s[c]
+                    if c < ab:
+                        eq = eqs[c]
+                        y1 = ab
+                    else:
+                        eq = eqs[ab]
+                        y1 = c
                     if b < c:
-                        ac = P[a * m + c]
-                        e2 = bit[ac][b] if ac < q else bq[b]
+                        e2 = bit[Pa[c]][b]
                         if e1 != e2:
-                            pairs.add((e1, e2) if e1 < e2 else (e2, e1))
+                            eq.append((y1, e2))
                     if a < b:
                         bc = P[b * m + c]
                         e3 = bit[bc][a] if bc < q else bit[b][c] | bq[a]
                         if e1 != e3:
-                            pairs.add((e1, e3) if e1 < e3 else (e3, e1))
-        # (a loop, not a comprehension: that would be a call per parent)
-        eqs: list[list[tuple[int, int]]] = []
-        for _ in range(m):
-            eqs.append([])
-        for pair in pairs:
-            eqs[((pair[0] | pair[1]).bit_length() - 1) // m].append(pair)
-        # per row r: threshold u[r] in [max(g[r], r), top[r]] (m: no
+                            eq.append((y1, e3))
+        # then those with P[a][b] = q: X[c][q] = X[b0][q] for c > b0, and
+        # X[c][q] = X[b][c] or X[g[b]][q] for b >= b0, c >= b
+        for c in range(b0 + 1, m):
+            eqs[c].append((q, bq[b0]))
+        for b in range(b0, m):
+            a = g[b]
+            if a < b:
+                for c in range(b, m):
+                    eqs[c].append((q, bit[b][c] | bq[a]))
+        # per row r: threshold u[r] in [max(g[r], r), u[r - 1]] (m: no
         # m-cells), the m-cells of rows 1..r as X[r], and tau[r], the first
-        # row so far with r + q = m; free[tau] is computed on first use
+        # row so far with r + q = m; free[tau] and sat[s] are computed on
+        # first use
         free = [-1] * m
+        sat: list[tuple[int, list[int]] | None] = [None] * m
         u = [m] * m
         X = [0] * m
         tau = [0] * m
-        top = [m] * m
         r = 1
         t = g[1]
         while r:
-            if t > top[r]:
+            if t > u[r - 1]:
                 r -= 1
                 t = u[r] + 1
                 continue
             mask = X[r - 1] | span[r][t]
-            for Ma, Mb in eqs[r]:
-                if (not mask & Ma) != (not mask & Mb):
+            for y1, side in eqs[r] if mask else ():
+                if (t > y1) != (not mask & side):
                     break
             else:
                 u[r] = t
                 tr = tau[r - 1] or (r if t < m else 0)
                 if r < q:
-                    X[r] = mask
-                    tau[r] = tr
-                    r += 1
-                    top[r] = t if t > r else r
-                    t = g[r] if g[r] > r else r
-                    continue
+                    s = r + 1
+                    if t > s:
+                        X[r] = mask
+                        tau[r] = tr
+                        r = s
+                        t = g[s] if g[s] > s else s
+                        continue
+                    # rows s..q are saturated: u[x] = x there, which P
+                    # allows (g[s] <= g[r] <= t <= s); every cell of those
+                    # rows is then an m-cell, so only sides below row s can
+                    # fail
+                    found = sat[s]
+                    if found is None:
+                        below = 1 << s * m
+                        ones = 0
+                        pairs = []
+                        for k in range(s, m):
+                            for _, side in eqs[k]:
+                                if side < below:
+                                    if side & (side - 1):
+                                        pairs.append(side)
+                                    else:
+                                        ones |= side
+                        found = sat[s] = (ones, pairs)
+                    if found[0] & ~mask or not all(map(mask.__and__, found[1])):
+                        t += 1
+                        continue
+                    u[s:] = range(s, m)
+                    mask |= tail[s]
                 # a child: its complexity is p + 1 iff some cell (s, y) with
                 # s < q in reach_P(tau, p - 1), y >= tau and P[s][y] = q is
                 # not an m-cell; for p = 1 the cell (0, q), never an m-cell,
@@ -394,23 +489,18 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                         if p == 1:
                             cells = span[0][q]
                         else:
-                            reach = ((1 << m) - 1) >> tr << tr
+                            reach = set(range(tr, m))
                             for _ in range(p - 2):
-                                acc = 0
-                                rest = reach
-                                while rest:
-                                    low = rest & -rest
-                                    row = (low.bit_length() - 1) * m
-                                    for w in range(tr, m):
-                                        acc |= 1 << P[row + w]
-                                    rest ^= low
+                                acc = set()
+                                for x in reach:
+                                    acc.update(P[x * m + tr : x * m + m])
                                 if acc == reach:
                                     break
                                 reach = acc
                             cells = 0
-                            for s in range(1, q):
-                                if reach >> s & 1:
-                                    cells |= span[s][g[s] if g[s] > tr else tr]
+                            for x in reach:
+                                if x < q:
+                                    cells |= span[x][g[x] if g[x] > tr else tr]
                         free[tr] = cells
                     if cells & ~mask:
                         arch = p + 1
@@ -449,11 +539,15 @@ def _truncation_counts(
     counts, roots = _grow((split, _ROOT, True))
     counts[1][1] = 1
     counts += [{} for _ in range(n - split)]
+    # largest first: a root's cells holding its top element are where its
+    # children's m-cells can go, so the run ends on small tasks
+    roots.sort(key=lambda root: -root[0].count(split))
     tasks = [(n, (split, T, arch), keep) for T, arch in roots]
     kept = []
     workers = min(job_count, len(tasks), os.cpu_count() or 1)
     with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        mapper = map if pool is None else partial(pool.imap, chunksize=1)
+        chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
+        mapper = map if pool is None else partial(pool.imap, chunksize=chunk)
         for part, part_kept in mapper(_grow, tasks):
             for tally, part_tally in zip(counts, part):
                 for arch, count in part_tally.items():

@@ -301,27 +301,28 @@ class TestTruncation:
         """(rows, arch) of the children the truncation census grows from P."""
         return [(_rows(T, m), arch) for T, arch in _grow((m, (m - 1, P, p), True))[1]]
 
-    @pytest.mark.parametrize("m", range(2, 7))
+    # every parent up to m = 8, so each rule of the row DFS (row keys, the
+    # empty prefix, the saturated suffix) meets the walker on every parent
+    @pytest.mark.parametrize("m", range(2, 9))
     def test_children_are_the_walk_monoids_truncating_to_parent(self, m):
         by_parent = {}
-        for T in _walk(m, (), _ncells(m), True):
+        for _, T in _walk_monoids(m):
             rows = _rows(T, m)
             by_parent.setdefault(_truncate(rows, m), []).append(rows)
-        for T in _walk(m - 1, (), _ncells(m - 1), True):
-            P = list(T)
-            kids = [rows for rows, _ in self._children(P, m, _arch(P, m - 1))]
+        for p, T in _walk_monoids(m - 1):
+            kids = [rows for rows, _ in self._children(list(T), m, p)]
             assert len(set(kids)) == len(kids)
-            assert sorted(kids) == sorted(by_parent.pop(_rows(P, m - 1), []))
+            assert sorted(kids) == sorted(by_parent.pop(_rows(T, m - 1), []))
         assert not by_parent  # every monoid on m elements has a parent
 
-    @pytest.mark.parametrize("m", range(2, 8))
+    @pytest.mark.parametrize("m", range(2, 9))
     def test_leaf_rule_equals_arch_complexity(self, m):
         seen = 0
-        for T in _walk(m - 1, (), _ncells(m - 1), True):
-            for rows, arch in self._children(list(T), m, _arch(T, m - 1)):
+        for p, T in _walk_monoids(m - 1):
+            for rows, arch in self._children(list(T), m, p):
                 assert arch == arch_complexity(AdditionTable(m, rows))
                 seen += 1
-        assert seen == [1, 2, 6, 22, 94, 451, 2386][m - 1]
+        assert seen == [1, 2, 6, 22, 94, 451, 2386, 13775][m - 1]
 
     @pytest.mark.parametrize("want_magmas", [False, True])
     def test_independent_of_jobs_depth_and_caller_stack(self, want_magmas):
@@ -469,7 +470,7 @@ class TestPartitioning:
 
     def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch):
         # a recording fake: a real pool of job_count workers is never started
-        sizes = []
+        sizes, chunks, firsts = [], [], []
 
         class RecordingPool:
             def __init__(self, processes):
@@ -482,21 +483,34 @@ class TestPartitioning:
                 return False
 
             def imap(self, fn, tasks, chunksize):
+                chunks.append(chunksize)
+                firsts.append(bytes(tasks[0][1][1]))
                 return map(fn, tasks)
 
         n = census.FORK_N
         monkeypatch.setattr(census, "Pool", RecordingPool)
         sequential = enumerate_tables(SearchConfig(n=n))
         assert sizes == []  # one job runs its tasks in this process
-        # the monoids on n - 3 elements are the tasks; with an unknown core
+        # the monoids on n - 3 elements are the tasks, 94 of them, taken in
+        # CHUNKS_PER_WORKER = 16 chunks per worker; with an unknown core
         # count they run in this process too
         tasks = len(_walk_monoids(n - 3))
-        for cores, workers in ((3, [3]), (10**6, [tasks]), (None, [])):
+        assert (tasks, census.CHUNKS_PER_WORKER) == (94, 16)
+        for cores, workers, chunk in (
+            (2, [2], [3]),
+            (3, [3], [2]),
+            (10**6, [tasks], [1]),
+            (None, [], []),
+        ):
             sizes.clear()
+            chunks.clear()
             monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
             pooled = enumerate_tables(SearchConfig(n=n, job_count=10**6))
-            assert sizes == workers
+            assert (sizes, chunks) == (workers, chunk)
             assert pooled == sequential
+        # the root with the most cells at its top element goes first
+        top = n - 3
+        assert set(firsts) == {max((T for _, T in _walk_monoids(top)), key=lambda T: T.count(top))}
 
     def test_magma_emission_starts_no_pool(self, monkeypatch):
         # below FORK_N the truncation census starts no pool either
