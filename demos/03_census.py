@@ -22,7 +22,7 @@ print(dm_table_csv(dm_table(6)), end="")
 
 print()
 print("== work splitting is exact, not approximate ==")
-prefixes = partition_work(SearchConfig(n=5, prefix_depth=2))
+prefixes = partition_work(5, 2)
 print(f"{len(prefixes)} walk subtrees at depth 2, by their first two cells:")
 print("  " + " ".join(",".join(map(str, p)) for p in prefixes))
 # the monoid census grows its n - 3 level in a pool of job_count workers

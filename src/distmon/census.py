@@ -77,7 +77,9 @@ maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
   impossible, since q + y = m, so s < q lies in reach_P(tau, p - 1), and
   s + y = q says P[s][y] = q with X[s][y] = 0.  Those cells (s, y) form
   one mask per tau, computed once per parent, and a leaf tests it against
-  its own m-cells.
+  its own m-cells.  Every mask holds a cell at its upper-triangle bit
+  (_level_bits), so a cell (s, y) with y < s is tested as X[y][s] =
+  X[s][y].
 The levels m = 1..n are grown depth-first from an explicit stack.  From
 n = FORK_N on, each monoid on n - 3 elements roots one task.  The tasks
 go largest first, ranked by the cells that hold the root's top element,
@@ -145,22 +147,17 @@ CHUNKS_PER_WORKER = 16
 class SearchConfig:
     """One census: n nonzero elements; want_magmas, count magmas too and
     emit magmas, not monoids; arch_filter, emit only monoids of that
-    complexity; emit, stream the tables; job_count, the monoid pool's size;
-    prefix_depth, the cells a prefix fixes, read only by partition_work."""
+    complexity; emit, stream the tables; job_count, the monoid pool's size."""
 
     n: int
     want_magmas: bool = False
     arch_filter: int | None = None
     emit: bool = False
     job_count: int = 1
-    prefix_depth: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("census requires n >= 1")
-        ncells = self.n * (self.n + 1) // 2
-        if not 0 <= self.prefix_depth <= ncells:
-            raise ValueError(f"prefix_depth must be in 0..{ncells}")
         if self.arch_filter is not None:
             if self.want_magmas:
                 raise ValueError("arch_filter applies to monoid censuses only")
@@ -178,26 +175,13 @@ class SearchConfig:
 @dataclass(frozen=True)
 class CensusResult:
     """Counts of one census, and the tables it emitted, if any (None from
-    stream_tables(), which streams them instead).
-
-    emitted_arch runs parallel to emitted: emitted_arch[i] is the
-    Archimedean complexity of emitted[i], read from the truncation census
-    that grew it.  It is set for monoid emission only (None for magma
-    emission and when nothing is emitted) and stays out of to_json_dict().
-    """
+    stream_tables(), which streams them instead, each with its arch)."""
 
     n: int
     magma_count: int | None
     monoid_count: int
     by_arch: dict[int, int]
     emitted: tuple[AdditionTable, ...] | None
-    emitted_arch: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.emitted_arch is not None and (
-            self.emitted is None or len(self.emitted_arch) != len(self.emitted)
-        ):
-            raise ValueError("emitted_arch must run parallel to emitted")
 
     def to_json_dict(self) -> dict:
         return {
@@ -307,18 +291,20 @@ def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
 
 
-def partition_work(config: SearchConfig) -> list[tuple[int, ...]]:
-    """All bound-valid assignments of the first prefix_depth cells.
+def partition_work(n: int, depth: int) -> list[tuple[int, ...]]:
+    """All bound-valid assignments of the first `depth` upper-triangle
+    cells (row-major) of a magma table on n elements, 1 <= depth <=
+    n(n+1)/2.
 
     Each prefix roots an independent subtree of the magma walk; the
     subtrees in prefix (= lexicographic = sequential visit) order cover
     the whole walk exactly once.  No census splits on them.
     """
-    if config.prefix_depth < 1:
-        raise ValueError("partition_work requires prefix_depth >= 1")
-    n = config.n
-    offsets = [i * (n + 1) + j for i, j in _cells(n)[: config.prefix_depth]]
-    return [tuple(T[o] for o in offsets) for T in _magma_walk(n, config.prefix_depth)]
+    cells = _cells(n)
+    if not 1 <= depth <= len(cells):
+        raise ValueError(f"partition_work requires depth in 1..{len(cells)}")
+    offsets = [i * (n + 1) + j for i, j in cells[:depth]]
+    return [tuple(T[o] for o in offsets) for T in _magma_walk(n, depth)]
 
 
 @cache
@@ -327,8 +313,9 @@ def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     the bit of cell {x, y} (x, y < m), at position min * m + max, so the
     cells of row x are the bits x*m .. x*m + m - 1; span[s][t] covers cells
     (s, y) for y = t..m-1 (span[s][m] = 0); tail[s] covers the cells (x, y)
-    with s <= x <= y (tail[m] = 0).  Built once per process and level;
-    callers only read them."""
+    with s <= x <= y (tail[m] = 0).  bit is symmetric, so no mask sets a
+    bit below the diagonal: a cell (s, y) with y < s is bit y*m + s.  Built
+    once per process and level; callers only read them."""
     bit = [[0] * m for _ in range(m)]
     for x in range(m):
         for y in range(x, m):
@@ -574,8 +561,7 @@ def stream_tables(
     process.  Emission streams monoids from the same truncation census,
     restricted by arch_filter when given, with the complexity of each,
     or, when want_magmas, magmas from one sequential row-by-row walk.
-    prefix_depth is validated but splits nothing.  Results are
-    independent of job_count and prefix_depth.
+    Results are independent of job_count.
     """
     n = config.n
     config.check_scale()
@@ -601,19 +587,13 @@ def stream_tables(
 def enumerate_tables(config: SearchConfig) -> CensusResult:
     """Run the census described by `config`, holding every emitted table.
 
-    The same census as stream_tables(), with its stream collected into
-    emitted and, for monoids, the complexity of each into emitted_arch
-    (None for magma emission and when nothing is emitted).
+    The same census as stream_tables(), with its stream's tables collected
+    into emitted; stream_tables() is the one that pairs each with its arch.
     """
     result, tables = stream_tables(config)
-    if not config.emit:
-        return result
-    pairs = tuple(tables)
-    return replace(
-        result,
-        emitted=tuple(t for t, _ in pairs),
-        emitted_arch=None if config.want_magmas else tuple(arch for _, arch in pairs),
-    )
+    if config.emit:
+        result = replace(result, emitted=tuple(t for t, _ in tables))
+    return result
 
 
 def dm_table(n_max: int, job_count: int = 1) -> list[list[int]]:

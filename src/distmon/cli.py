@@ -53,8 +53,15 @@ def _cmd_census(args) -> int:
     if args.dm_table:
         if args.emit is not None or args.magmas or args.arch is not None or args.count_only:
             raise ValueError("--dm-table takes none of --emit, --magmas, --arch, --count-only")
-        if args.n < 1:
-            raise ValueError("census requires n >= 1")
+    elif args.csv is not None:
+        raise ValueError("--csv requires --dm-table")
+    if args.n < 1:
+        raise ValueError("census requires n >= 1")
+    # validated for every census, though none splits on it
+    ncells = args.n * (args.n + 1) // 2
+    if not 0 <= args.prefix_depth <= ncells:
+        raise ValueError(f"prefix_depth must be in 0..{ncells}")
+    if args.dm_table:
         rows = census.dm_table(args.n, job_count=args.jobs)
         text = census.dm_table_csv(rows)
         if args.csv is not None:
@@ -63,15 +70,12 @@ def _cmd_census(args) -> int:
         else:
             print(text, end="")
         return 0
-    if args.csv is not None:
-        raise ValueError("--csv requires --dm-table")
     config = census.SearchConfig(
         n=args.n,
         want_magmas=args.magmas,
         arch_filter=args.arch,
         emit=args.emit is not None,
         job_count=args.jobs,
-        prefix_depth=args.prefix_depth,
     )
     if args.emit is not None:
         # the guard, then a path that cannot be a directory, fail before
@@ -246,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--prefix-depth",
         type=int,
         default=0,
-        help="accepted and validated (0..n(n+1)/2); no census splits on it",
+        help="accepted and validated (0..n(n+1)/2) for every census, "
+        "--dm-table too; no census splits on it",
     )
     p.add_argument("--dm-table", action="store_true", help="emit CSV of counts by (n, complexity) for 1..n")
     p.add_argument("--csv", metavar="FILE", default=None, help="with --dm-table, write CSV here")

@@ -112,8 +112,6 @@ class TestEnumerate:
             SearchConfig(n=3, arch_filter=4)
         with pytest.raises(ValueError):
             SearchConfig(n=3, want_magmas=True, arch_filter=2)
-        with pytest.raises(ValueError):
-            SearchConfig(n=3, prefix_depth=7)
 
 
 class TestCountMagmas:
@@ -219,14 +217,14 @@ class TestWalk:
     def test_partition_work_equals_filter(self, n, depth):
         depth = min(depth, _ncells(n))
         expected = _prefixes_by_filter(n, depth)
-        assert partition_work(SearchConfig(n=n, prefix_depth=depth)) == expected
+        assert partition_work(n, depth) == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_partition_work_equals_oracle_prefixes(self, n):
         for depth in range(1, _ncells(n) + 1):
             offsets = [i * (n + 1) + j for i, j in _cells(n)[:depth]]
             expected = [tuple(T[o] for o in offsets) for T in _walk(n, (), depth, False)]
-            assert partition_work(SearchConfig(n=n, prefix_depth=depth)) == expected
+            assert partition_work(n, depth) == expected
 
     @pytest.mark.parametrize("emit", [False, True])
     def test_independent_of_caller_depth(self, emit):
@@ -238,7 +236,7 @@ class TestWalk:
 
     def test_prefix_subtrees_equal_filtered_magmas(self):
         # some of these prefixes already break associativity (dead subtrees)
-        for prefix in partition_work(SearchConfig(n=4, prefix_depth=3)):
+        for prefix in partition_work(4, 3):
             walked = sum(1 for _ in _walk(4, prefix, _ncells(4), True))
             magmas = [t for t in _magma_tables(4, prefix) if t.is_monoid]
             assert walked == len(magmas)
@@ -325,16 +323,22 @@ class TestTruncation:
         assert seen == [1, 2, 6, 22, 94, 451, 2386, 13775][m - 1]
 
     @pytest.mark.parametrize("want_magmas", [False, True])
-    def test_independent_of_jobs_depth_and_caller_stack(self, want_magmas):
+    def test_independent_of_jobs_and_caller_stack(self, want_magmas):
         base = enumerate_tables(SearchConfig(n=7, want_magmas=want_magmas))
         assert base.by_arch == dict(enumerate(RECORDED_ROWS[7], start=1))
         for jobs in (1, 2):
-            for depth in (0, 5):
-                config = SearchConfig(
-                    n=7, want_magmas=want_magmas, job_count=jobs, prefix_depth=depth
-                )
-                assert enumerate_tables(config) == base
-                assert _at_depth(300, lambda: enumerate_tables(config)) == base
+            config = SearchConfig(n=7, want_magmas=want_magmas, job_count=jobs)
+            assert enumerate_tables(config) == base
+            assert _at_depth(300, lambda: enumerate_tables(config)) == base
+
+    def test_masks_hold_cells_at_upper_triangle_bits(self):
+        # a cell (s, y) with y < s is read as X[y][s], never below the diagonal
+        for m in range(2, 12):
+            bit, span, tail = census._level_bits(m)
+            assert all(bit[x][y] == bit[y][x] for x in range(m) for y in range(m))
+            lower = sum(1 << (s * m + y) for s in range(m) for y in range(s))
+            assert not any(mask & lower for row in span for mask in row)
+            assert not any(mask & lower for mask in tail)
 
 
 def _flat(t):
@@ -354,49 +358,37 @@ class TestEmission:
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("depth", [0, 2, 3])
-    def test_tables_and_order_equal_walk(self, n, jobs, depth):
+    def test_tables_and_order_equal_walk(self, n, jobs):
         walked = _walk_monoids(n)
-        depth = min(depth, _ncells(n))
         for arch_filter in [None, *range(1, n + 1)]:
-            config = SearchConfig(
-                n=n, emit=True, arch_filter=arch_filter, job_count=jobs, prefix_depth=depth
-            )
+            config = SearchConfig(n=n, emit=True, arch_filter=arch_filter, job_count=jobs)
             expected = [(arch, T) for arch, T in walked if arch_filter in (None, arch)]
-            result = enumerate_tables(config)
-            assert [_flat(t) for t in result.emitted] == [T for _, T in expected]
-            assert list(result.emitted_arch) == [arch for arch, _ in expected]
+            pairs = list(stream_tables(config)[1])
+            assert [(arch, _flat(t)) for t, arch in pairs] == expected
 
     def test_n8_sequence_equals_walk(self):
         # n = 8 is FORK_N, so job_count = 2 runs the tasks in a real pool
         for jobs in (1, 2):
-            result = enumerate_tables(SearchConfig(n=8, emit=True, job_count=jobs))
-            assert [_flat(t) for t in result.emitted] == [T for _, T in _walk_monoids(8)]
-            assert list(result.emitted_arch) == [arch for arch, _ in _walk_monoids(8)]
+            pairs = stream_tables(SearchConfig(n=8, emit=True, job_count=jobs))[1]
+            assert [(arch, _flat(t)) for t, arch in pairs] == list(_walk_monoids(8))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_emission_unchanged(self, n):
         by_arch = dict(sorted(_monoid_subtree(n).items()))
         magmas = _magma_tables(n)
         for jobs in (1, 2):
-            for depth in (0, 3):
-                config = SearchConfig(
-                    n=n,
-                    want_magmas=True,
-                    emit=True,
-                    job_count=jobs,
-                    prefix_depth=min(depth, _ncells(n)),
-                )
-                result = enumerate_tables(config)
-                assert result.by_arch == by_arch
-                assert result.emitted == tuple(magmas)
-                assert result.emitted_arch is None
+            config = SearchConfig(n=n, want_magmas=True, emit=True, job_count=jobs)
+            result = enumerate_tables(config)
+            assert result.by_arch == by_arch
+            assert result.emitted == tuple(magmas)
 
     @pytest.mark.parametrize("want_magmas", [False, True])
     def test_no_arch_without_emission(self, want_magmas):
-        result = enumerate_tables(SearchConfig(n=4, want_magmas=want_magmas))
+        config = SearchConfig(n=4, want_magmas=want_magmas)
+        assert enumerate_tables(config).emitted is None
+        result, tables = stream_tables(config)
         assert result.emitted is None
-        assert result.emitted_arch is None
+        assert list(tables) == []
 
 
 class TestStream:
@@ -415,46 +407,62 @@ class TestStream:
     )
     def test_stream_equals_enumerate_tables(self, config):
         result, tables = stream_tables(config)
-        assert result.emitted is None and result.emitted_arch is None
+        assert result.emitted is None
         pairs = list(tables)
         full = enumerate_tables(config)
-        assert result == replace(full, emitted=None, emitted_arch=None)
+        assert result == replace(full, emitted=None)
         if not config.emit:
             assert pairs == [] and full.emitted is None
             return
         assert tuple(t for t, _ in pairs) == full.emitted
-        archs = tuple(arch for _, arch in pairs)
+        archs = [arch for _, arch in pairs]
         if config.want_magmas:
-            assert set(archs) == {None} and full.emitted_arch is None
+            assert set(archs) == {None}
         else:
-            assert archs == full.emitted_arch
+            expected = [
+                arch
+                for arch, _ in _walk_monoids(config.n)
+                if config.arch_filter in (None, arch)
+            ]
+            assert archs == expected
 
 
 class TestPartitioning:
     def test_prefixes_n3_depth1(self):
-        assert partition_work(SearchConfig(n=3, prefix_depth=1)) == [(1,), (2,), (3,)]
+        assert partition_work(3, 1) == [(1,), (2,), (3,)]
 
     def test_prefixes_n1(self):
-        assert partition_work(SearchConfig(n=1, prefix_depth=1)) == [(1,)]
+        assert partition_work(1, 1) == [(1,)]
 
     def test_requires_depth(self):
-        with pytest.raises(ValueError):
-            partition_work(SearchConfig(n=3, prefix_depth=0))
+        for n in (1, 3, 4):
+            for depth in (0, _ncells(n) + 1):
+                with pytest.raises(ValueError, match=f"depth in 1..{_ncells(n)}"):
+                    partition_work(n, depth)
 
     def test_summed_counts_equal_sequential(self, census_cache):
         sequential = census_cache(4)
-        merged = enumerate_tables(SearchConfig(n=4, prefix_depth=2))
-        assert merged.by_arch == sequential.by_arch
-        assert merged.monoid_count == 22
+        merged = Counter()
+        for prefix in partition_work(4, 2):
+            merged.update(_arch(T, 4) for T in _walk(4, prefix, _ncells(4), True))
+        assert dict(merged) == sequential.by_arch
+        assert sum(merged.values()) == sequential.monoid_count == 22
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_partition_invariance(self, n, depth):
-        depth = min(depth, n * (n + 1) // 2)
-        base = enumerate_tables(SearchConfig(n=n, emit=True))
-        part = enumerate_tables(SearchConfig(n=n, emit=True, prefix_depth=depth))
-        assert part == base
-        assert json.dumps(part.to_json_dict()) == json.dumps(base.to_json_dict())
+        # the checked walks below partition_work's prefixes, taken in order,
+        # are the census's monoids in the census's order (depth 0: one walk)
+        depth = min(depth, _ncells(n))
+        prefixes = partition_work(n, depth) if depth else [()]
+        parts = [
+            (_arch(T, n), bytes(T))
+            for prefix in prefixes
+            for T in _walk(n, prefix, _ncells(n), True)
+        ]
+        result = enumerate_tables(SearchConfig(n=n, emit=True))
+        assert [T for _, T in parts] == [_flat(t) for t in result.emitted]
+        assert dict(Counter(arch for arch, _ in parts)) == result.by_arch
 
     def test_jobs_do_not_change_results(self):
         seq = enumerate_tables(SearchConfig(n=5, emit=True))
@@ -463,9 +471,7 @@ class TestPartitioning:
 
     def test_magma_census_partitioned(self):
         seq = enumerate_tables(SearchConfig(n=4, want_magmas=True, emit=True))
-        par = enumerate_tables(
-            SearchConfig(n=4, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
-        )
+        par = enumerate_tables(SearchConfig(n=4, want_magmas=True, emit=True, job_count=2))
         assert seq == par
 
     def test_pool_is_bounded_by_tasks_and_cores(self, monkeypatch):
@@ -518,9 +524,7 @@ class TestPartitioning:
             raise AssertionError("magma emission started a process pool")
 
         monkeypatch.setattr(census, "Pool", refuse)
-        result = enumerate_tables(
-            SearchConfig(n=4, want_magmas=True, emit=True, job_count=2, prefix_depth=2)
-        )
+        result = enumerate_tables(SearchConfig(n=4, want_magmas=True, emit=True, job_count=2))
         assert list(result.emitted) == _magma_tables(4)
         assert len(result.emitted) == 42
 
@@ -632,20 +636,3 @@ class TestResultJson:
 
     def test_monoid_census_has_null_magma_count(self, census_cache):
         assert census_cache(3).to_json_dict()["magma_count"] is None
-
-    def test_emitted_arch_not_serialized(self, census_cache):
-        result = census_cache(3)
-        assert result.to_json_dict() == replace(result, emitted_arch=None).to_json_dict()
-
-
-class TestResultInvariant:
-    def test_emitted_arch_without_emitted_is_rejected(self, census_cache):
-        with pytest.raises(ValueError, match="parallel"):
-            replace(census_cache(3), emitted=None)
-
-    def test_emitted_arch_of_other_length_is_rejected(self, census_cache):
-        result = census_cache(3)
-        with pytest.raises(ValueError, match="parallel"):
-            replace(result, emitted=result.emitted[1:])
-        with pytest.raises(ValueError, match="parallel"):
-            replace(result, emitted_arch=result.emitted_arch + (3,))

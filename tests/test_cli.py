@@ -195,6 +195,14 @@ class TestCensus:
         code, to_file, _ = run(capsys, "census", "--n", "3", "--dm-table", "--csv", str(path))
         assert code == 0 and to_file == ""
         assert path.read_text() == out
+        depth = run(capsys, "census", "--n", "3", "--dm-table", "--prefix-depth", "6")
+        assert depth == (0, out, "")
+
+    @pytest.mark.parametrize("depth", ["7", "-1"])
+    def test_prefix_depth_out_of_range_exits_2(self, capsys, depth):
+        # validated, though no census splits on it
+        code, out, err = run(capsys, "census", "--n", "3", "--prefix-depth", depth)
+        assert (code, out, err) == (2, "", "error: prefix_depth must be in 0..6\n")
 
     @pytest.mark.parametrize(
         "flags",
@@ -208,10 +216,13 @@ class TestCensus:
             ["--n", "3", "--csv", "FILE"],
             ["--n", "3", "--emit", "DIR", "--csv", "FILE"],
             ["--n", "3", "--dm-table", "--csv", ""],
+            ["--n", "3", "--dm-table", "--prefix-depth", "99"],
+            ["--n", "3", "--dm-table", "--csv", "FILE", "--prefix-depth", "99"],
         ],
     )
     def test_ignored_flag_exits_2(self, capsys, tmp_path, flags):
-        # a flag the chosen mode would not use is refused, not dropped
+        # a flag the chosen mode would not use, or would not validate, is
+        # refused, not dropped
         paths = {"DIR": str(tmp_path / "out"), "FILE": str(tmp_path / "rows.csv")}
         code, out, err = run(capsys, "census", *(paths.get(f, f) for f in flags))
         assert code == 2 and out == ""
