@@ -94,8 +94,16 @@ order in which the row generator below emits magmas: in the flat
 row-major table every entry below the diagonal mirrors an earlier upper
 cell, so the first byte where two tables differ is their first differing
 upper cell.  The order is global, so it does not depend on job_count.
-Only the (bytes, arch) pairs are held: stream_tables() builds each
-emitted table, monoid or magma, when its caller reaches it.
+The sort is external.  Each task sorts its own monoids and returns them
+as one run of fixed-size records, the table's bytes and then its arch
+byte, and the parent appends each run to one temporary file as it
+arrives.  The table part has a fixed length, so the records' byte order
+is the tables' order, and the stream merges the runs from the file,
+reading a share of MERGE_BUFFER bytes from each at a time.  So no process
+holds the whole level: a task holds its own monoids, the parent one pool
+chunk of runs while they arrive and one block per run while they merge,
+and stream_tables() builds each emitted table, monoid or magma, when its
+caller reaches it.
 
 The row generator.  Row i of a magma table at columns i..n is
 nondecreasing, bounded above by n and below, cell by cell, by row i-1 at
@@ -116,13 +124,15 @@ independent cell-by-cell walker.
 
 from __future__ import annotations
 
+import heapq
 import os
+import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .errors import check_scale
 from .table import AdditionTable
@@ -141,13 +151,17 @@ FORK_N = 8
 # n = 9 (451 tasks) 0.29-0.40 s vs 0.14-0.22 s, n = 10 (2,386) 1.2-1.4 s vs
 # 0.21-0.25 s.  The largest tasks go first, so the last chunks are short
 CHUNKS_PER_WORKER = 16
+# the bytes that one round of reads takes from the emitted monoids' sorted
+# runs, shared between the runs, one record per run at least
+MERGE_BUFFER = 1 << 20
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """One census: n nonzero elements; want_magmas, count magmas too and
     emit magmas, not monoids; arch_filter, emit only monoids of that
-    complexity; emit, stream the tables; job_count, the monoid pool's size."""
+    complexity; emit, stream the tables; job_count (>= 1), the monoid pool's
+    size."""
 
     n: int
     want_magmas: bool = False
@@ -163,6 +177,8 @@ class SearchConfig:
                 raise ValueError("arch_filter applies to monoid censuses only")
             if not 1 <= self.arch_filter <= self.n:
                 raise ValueError(f"arch_filter must be in 1..{self.n}")
+        if self.job_count < 1:
+            raise ValueError("job_count must be >= 1")
 
     def check_scale(self) -> None:
         """The one place that decides a census's guard: MONOID_GUARD, and
@@ -512,36 +528,82 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
 _ROOT = (1, [0, 1, 1, 1], 1)
 
 
+def _grow_run(task: tuple) -> tuple[list[dict[int, int]], bytes]:
+    """_grow(task), with its kept monoids sorted and packed into one run of
+    records, each the table's bytes and then its arch byte."""
+    counts, kept = _grow(task)
+    records = [T + bytes((arch,)) for T, arch in kept]
+    records.sort()
+    return counts, b"".join(records)
+
+
+def _merge_runs(
+    runs_file: BinaryIO, runs: list[tuple[int, int]], size: int
+) -> Iterator[tuple[bytes, int]]:
+    """The records of size bytes in the sorted runs runs_file[start:end],
+    merged into one sorted stream of (table, arch) pairs.  Closes runs_file
+    when drained or dropped."""
+    block = max(1, MERGE_BUFFER // (size * len(runs))) * size
+
+    def records(start: int, end: int) -> Iterator[bytes]:
+        # the runs share one file, so every read seeks first
+        while start < end:
+            runs_file.seek(start)
+            data = runs_file.read(min(block, end - start))
+            start += block
+            for i in range(0, len(data), size):
+                yield data[i : i + size]
+
+    with runs_file:
+        for record in heapq.merge(*(records(start, end) for start, end in runs)):
+            yield record[:-1], record[-1]
+
+
 def _truncation_counts(
     n: int, job_count: int, keep: bool = False
-) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
-    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
-    with `keep` the monoids on n elements as (table, arch) pairs in the
-    order of their table bytes."""
-    if job_count < 1:
-        raise ValueError("job_count must be >= 1")
-    split = n - 3 if n >= FORK_N else 1
-    # levels 2..split are counted here, the levels above by one task per
-    # root, in a pool when min(job_count, tasks, cores) > 1
-    counts, roots = _grow((split, _ROOT, True))
-    counts[1][1] = 1
-    counts += [{} for _ in range(n - split)]
-    # largest first: a root's cells holding its top element are where its
-    # children's m-cells can go, so the run ends on small tasks
-    roots.sort(key=lambda root: -root[0].count(split))
-    tasks = [(n, (split, T, arch), keep) for T, arch in roots]
-    kept = []
-    workers = min(job_count, len(tasks), os.cpu_count() or 1)
-    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
-        mapper = map if pool is None else partial(pool.imap, chunksize=chunk)
-        for part, part_kept in mapper(_grow, tasks):
-            for tally, part_tally in zip(counts, part):
-                for arch, count in part_tally.items():
-                    tally[arch] = tally.get(arch, 0) + count
-            kept += part_kept
-    kept.sort()
-    return counts, kept
+) -> tuple[list[dict[int, int]], Iterator[tuple[bytes, int]]]:
+    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and an
+    iterator of the monoids on n elements as (table, arch) pairs in the
+    order of their table bytes, empty unless `keep`.
+
+    With `keep`, each task returns its monoids as one sorted run of
+    (n + 1)^2 + 1 byte records, the table and then its arch.  The runs are
+    appended to one temporary file, opened before anything grows, and the
+    iterator merges them from it as it is read, so no process holds the
+    whole level.  The table part has a fixed length, so the records' byte
+    order is the pairs' order."""
+    runs_file = tempfile.TemporaryFile() if keep else None
+    runs = []
+    try:
+        split = n - 3 if n >= FORK_N else 1
+        # levels 2..split are counted here, the levels above by one task per
+        # root, in a pool when min(job_count, tasks, cores) > 1
+        counts, roots = _grow((split, _ROOT, True))
+        counts[1][1] = 1
+        counts += [{} for _ in range(n - split)]
+        # largest first: a root's cells holding its top element are where its
+        # children's m-cells can go, so the run ends on small tasks
+        roots.sort(key=lambda root: -root[0].count(split))
+        tasks = [(n, (split, T, arch), keep) for T, arch in roots]
+        workers = min(job_count, len(tasks), os.cpu_count() or 1)
+        with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+            chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
+            mapper = map if pool is None else partial(pool.imap, chunksize=chunk)
+            for part, run in mapper(_grow_run, tasks):
+                for tally, part_tally in zip(counts, part):
+                    for arch, count in part_tally.items():
+                        tally[arch] = tally.get(arch, 0) + count
+                if run:
+                    start = runs_file.tell()
+                    runs_file.write(run)
+                    runs.append((start, start + len(run)))
+    except BaseException:
+        if runs_file is not None:
+            runs_file.close()
+        raise
+    if runs_file is None:
+        return counts, iter(())
+    return counts, _merge_runs(runs_file, runs, (n + 1) ** 2 + 1)
 
 
 def stream_tables(
@@ -553,7 +615,11 @@ def stream_tables(
     (table, arch) pairs in the order enumerate_tables() puts in emitted;
     arch is None for magmas, and the iterator is empty unless config.emit.
     Each table is built only when the iterator reaches it, so a caller
-    that reads the stream table by table holds one at a time.
+    that reads the stream table by table holds one at a time.  Emitted
+    monoids are merged from a tempfile.TemporaryFile (under TMPDIR) of
+    (n + 1)^2 + 1 bytes per monoid on n elements.  It is opened before the
+    census grows anything, and it closes when the iterator is drained or
+    dropped.
 
     Monoid statistics (monoid_count, by_arch) always come from the
     truncation census, whose pool job_count sizes.  magma_count is
@@ -601,7 +667,7 @@ def dm_table(n_max: int, job_count: int = 1) -> list[list[int]]:
     from one truncation census up to n_max."""
     if n_max < 1:
         return []
-    SearchConfig(n=n_max).check_scale()
+    SearchConfig(n=n_max, job_count=job_count).check_scale()
     counts = _truncation_counts(n_max, job_count)[0]
     return [[counts[n].get(k, 0) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
 

@@ -1,8 +1,14 @@
 import functools
+import gc
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from itertools import product, zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,7 @@ from distmon.analysis import arch_complexity
 from distmon import census
 from distmon.audit import run_audit
 from distmon.census import (
+    _ROOT,
     SearchConfig,
     _cells,
     _grow,
@@ -198,14 +205,16 @@ class TestWalk:
     def test_leaf_arch_equals_arch_complexity(self, n):
         # every checked-walk leaf is a monoid, and arch_complexity gives it
         # the arch the truncation census gives the same table
-        kept = census._truncation_counts(n, 1, keep=True)[1]
+        kept = list(census._truncation_counts(n, 1, keep=True)[1])
         leaves = [bytes(T) for T in _walk(n, (), _ncells(n), True)]
         assert leaves == [T for T, _ in kept]
+        checked = 0
         for T, arch in kept:
             t = AdditionTable(n, _rows(T, n))
             assert t.is_monoid
             assert arch_complexity(t) == arch
-        assert len(leaves) == [1, 2, 6, 22, 94, 451, 2386][n - 1]
+            checked += 1
+        assert checked == len(leaves) == [1, 2, 6, 22, 94, 451, 2386][n - 1]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_magma_leaves_equal_dp(self, n):
@@ -427,6 +436,105 @@ class TestStream:
             assert archs == expected
 
 
+def _deleted_temp_files():
+    """The descriptors of this process open on deleted files in the temp
+    directory, as {fd: target}; Linux only (/proc/self/fd)."""
+    found = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(tempfile.gettempdir()) and target.endswith(" (deleted)"):
+            found[fd] = target
+    return found
+
+
+# drains the n = 9 stream on two jobs and prints its table count and the
+# rise of this process's own peak RSS over the census, in kB.  The peak is
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child of
+# the test process would start at the test process's own peak
+_PARENT_PEAK_SCRIPT = """
+from distmon.census import SearchConfig, stream_tables
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak_kb()
+count = sum(1 for _ in stream_tables(SearchConfig(n=9, emit=True, job_count=2))[1])
+print(count, peak_kb() - before)
+"""
+
+
+class TestMergedRuns:
+    """Each task's monoids are a sorted run in one temporary file, and the
+    stream merges the runs; the oracle is the whole level grown in one
+    process and sorted in memory."""
+
+    @pytest.mark.parametrize("n, jobs", [(8, 1), (8, 2), (9, 2)])
+    def test_stream_equals_level_sorted_in_memory(self, n, jobs):
+        streamed = list(census._truncation_counts(n, jobs, keep=True)[1])
+        assert streamed == sorted(_grow((n, _ROOT, True))[1])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_stream_closes_its_file(self):
+        before = _deleted_temp_files()
+        stream = census._truncation_counts(8, 2, keep=True)[1]
+        next(stream)
+        assert len(_deleted_temp_files().keys() - before.keys()) == 1
+        del stream
+        gc.collect()
+        assert _deleted_temp_files() == before
+        assert len(list(census._truncation_counts(7, 1, keep=True)[1])) == 2386
+        assert _deleted_temp_files() == before
+
+    def test_counting_census_opens_no_file(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a counting census opened a temporary file")
+
+        runs = []
+        grow_run = census._grow_run
+
+        def record(task):
+            counts, run = grow_run(task)
+            runs.append(run)
+            return counts, run
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        monkeypatch.setattr(census, "_grow_run", record)
+        assert enumerate_tables(SearchConfig(n=8)).monoid_count == 13775
+        assert dm_table(8)[7] == RECORDED_ROWS[8]
+        assert len(runs) == 2 * 94 and set(runs) == {b""}
+
+    def test_temp_file_fails_before_anything_grows(self, monkeypatch, capsys, tmp_path):
+        def refuse(task):
+            raise AssertionError("a census was grown before its temporary file opened")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        monkeypatch.setattr(census, "_grow", refuse)
+        assert main(["census", "--n", "8", "--emit", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs VmHWM")
+    def test_parent_peak_stays_flat_at_n9(self):
+        # the parent's peak rises 3.8-4.4 MiB; before the merge, when it held
+        # and sorted the whole level, 20.4-20.6 MiB (2 cores, Python 3.11)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _PARENT_PEAK_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(src), DISTMON_SCALE_OVERRIDE="1"),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, rise_kb = map(int, proc.stdout.split())
+        assert count == 86417
+        assert rise_kb < 10 * 1024
+
+
 class TestPartitioning:
     def test_prefixes_n3_depth1(self):
         assert partition_work(3, 1) == [(1,), (2,), (3,)]
@@ -618,13 +726,16 @@ class TestJobCount:
             ["census", "--n", "7", "--jobs", "0"],
             ["audit", "--n-max", "6", "--jobs", "0"],
             ["audit", "--n-max", "2", "--jobs", "-5"],
+            ["census", "--n", "7", "--emit", "DIR", "--jobs", "0"],
         ],
     )
-    def test_cli_exits_2(self, capsys, argv):
-        assert main(argv) == 2
+    def test_cli_exits_2(self, capsys, tmp_path, argv):
+        emit = tmp_path / "emitted"
+        assert main([str(emit) if arg == "DIR" else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: job_count must be >= 1\n"
+        assert not emit.exists()
 
 
 class TestResultJson:
