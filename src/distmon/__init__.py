@@ -7,113 +7,80 @@ tables and provides exhaustive enumeration, Archimedean-structure analysis,
 exact counting formulas, and the explicit constructions that realize them.
 """
 
-from .analysis import (
-    ApProfile,
-    ArchDecomposition,
-    analysis_json,
-    ap_profile,
-    arch_complexity,
-    arch_complexity_naive,
-    chains_absorb,
-    class_submonoid,
-    decompose,
-    idempotents,
-)
-from .audit import AuditReport, CheckRecord, run_audit
-from .builders import (
-    Complexity2Spec,
-    build_complexity2,
-    counterexample_family,
-    counterexample_values,
-    enumerate_complexity2,
-    lower_bound_family,
-    sup_monoid,
-)
-from .census import (
-    CensusResult,
-    SearchConfig,
-    dm_table,
-    dm_table_csv,
-    enumerate_tables,
-    partition_work,
-    stream_tables,
-)
-from .errors import NotAssociativeError, ScaleGuardError, TableFormatError
-from .formulas import (
-    BigCount,
-    CeilingMap,
-    bell,
-    ceiling_map_from_fixed_points,
-    compositions,
-    count_A_chains,
-    dm_n_2,
-    dm_near_top,
-    enumerate_A,
-    lower_bound,
-    stirling2,
-)
-from .robbins import ROBBINS_NUMBERS, robbins_number
-from .table import (
-    AdditionTable,
-    ValidationReport,
-    Violation,
-    capped_naturals,
-    from_entries,
-    from_upper_triangle,
-    max_monoid,
-    validate,
-)
+from importlib import import_module
 
-__all__ = [
-    "AdditionTable",
-    "ApProfile",
-    "ArchDecomposition",
-    "AuditReport",
-    "BigCount",
-    "CeilingMap",
-    "CensusResult",
-    "CheckRecord",
-    "Complexity2Spec",
-    "NotAssociativeError",
-    "ROBBINS_NUMBERS",
-    "ScaleGuardError",
-    "SearchConfig",
-    "TableFormatError",
-    "ValidationReport",
-    "Violation",
-    "analysis_json",
-    "ap_profile",
-    "arch_complexity",
-    "arch_complexity_naive",
-    "bell",
-    "build_complexity2",
-    "capped_naturals",
-    "ceiling_map_from_fixed_points",
-    "chains_absorb",
-    "class_submonoid",
-    "compositions",
-    "count_A_chains",
-    "counterexample_family",
-    "counterexample_values",
-    "decompose",
-    "dm_n_2",
-    "dm_near_top",
-    "dm_table",
-    "dm_table_csv",
-    "enumerate_A",
-    "enumerate_complexity2",
-    "enumerate_tables",
-    "from_entries",
-    "from_upper_triangle",
-    "idempotents",
-    "lower_bound",
-    "lower_bound_family",
-    "max_monoid",
-    "partition_work",
-    "robbins_number",
-    "run_audit",
-    "stirling2",
-    "stream_tables",
-    "sup_monoid",
-    "validate",
-]
+# each public name and the submodule that defines it, in __all__'s order.
+# A name is imported on first access (PEP 562), so a process loads only
+# the submodules it uses: `import distmon.census` loads census, table and
+# errors, never the audit, builders, analysis, formulas or robbins
+_EXPORTS = {
+    "AdditionTable": "table",
+    "ApProfile": "analysis",
+    "ArchDecomposition": "analysis",
+    "AuditReport": "audit",
+    "BigCount": "formulas",
+    "CeilingMap": "formulas",
+    "CensusResult": "census",
+    "CheckRecord": "audit",
+    "Complexity2Spec": "builders",
+    "NotAssociativeError": "errors",
+    "ROBBINS_NUMBERS": "robbins",
+    "ScaleGuardError": "errors",
+    "SearchConfig": "census",
+    "TableFormatError": "errors",
+    "ValidationReport": "table",
+    "Violation": "table",
+    "analysis_json": "analysis",
+    "ap_profile": "analysis",
+    "arch_complexity": "analysis",
+    "arch_complexity_naive": "analysis",
+    "bell": "formulas",
+    "build_complexity2": "builders",
+    "capped_naturals": "table",
+    "ceiling_map_from_fixed_points": "formulas",
+    "chains_absorb": "analysis",
+    "class_submonoid": "analysis",
+    "compositions": "formulas",
+    "count_A_chains": "formulas",
+    "counterexample_family": "builders",
+    "counterexample_values": "builders",
+    "decompose": "analysis",
+    "dm_n_2": "formulas",
+    "dm_near_top": "formulas",
+    "dm_table": "census",
+    "dm_table_csv": "census",
+    "enumerate_A": "formulas",
+    "enumerate_complexity2": "builders",
+    "enumerate_tables": "census",
+    "from_entries": "table",
+    "from_upper_triangle": "table",
+    "idempotents": "analysis",
+    "lower_bound": "formulas",
+    "lower_bound_family": "builders",
+    "max_monoid": "table",
+    "partition_work": "census",
+    "robbins_number": "robbins",
+    "run_audit": "audit",
+    "stirling2": "formulas",
+    "stream_tables": "census",
+    "sup_monoid": "builders",
+    "validate": "table",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS.values():
+        # a submodule, bound here by its import
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})

@@ -124,14 +124,11 @@ independent cell-by-cell walker.
 
 from __future__ import annotations
 
-import heapq
 import os
-import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations_with_replacement
-from multiprocessing import Pool
 from typing import BinaryIO, Iterator
 
 from .errors import check_scale
@@ -543,6 +540,8 @@ def _merge_runs(
     """The records of size bytes in the sorted runs runs_file[start:end],
     merged into one sorted stream of (table, arch) pairs.  Closes runs_file
     when drained or dropped."""
+    import heapq
+
     block = max(1, MERGE_BUFFER // (size * len(runs))) * size
 
     def records(start: int, end: int) -> Iterator[bytes]:
@@ -572,7 +571,13 @@ def _truncation_counts(
     iterator merges them from it as it is read, so no process holds the
     whole level.  The table part has a fixed length, so the records' byte
     order is the pairs' order."""
-    runs_file = tempfile.TemporaryFile() if keep else None
+    # tempfile only to keep and multiprocessing only to fork: a spawned
+    # pool worker imports this module, and needs neither
+    runs_file = None
+    if keep:
+        import tempfile
+
+        runs_file = tempfile.TemporaryFile()
     runs = []
     try:
         split = n - 3 if n >= FORK_N else 1
@@ -586,6 +591,8 @@ def _truncation_counts(
         roots.sort(key=lambda root: -root[0].count(split))
         tasks = [(n, (split, T, arch), keep) for T, arch in roots]
         workers = min(job_count, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            from multiprocessing import Pool
         with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
             chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
             mapper = map if pool is None else partial(pool.imap, chunksize=chunk)

@@ -13,10 +13,15 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import analysis, audit, builders, census, formulas, table
+# each command imports the rest of distmon when it runs; census is needed
+# here for the parser's help, and table comes with it
+from . import census, table
 from .errors import NotAssociativeError, ScaleGuardError, check_scale
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -41,6 +46,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     t = table.load(args.path)
     if not t.is_monoid:
         print("input table is not associative; analysis requires a monoid", file=sys.stderr)
@@ -99,6 +106,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_formula(args) -> int:
+    from . import formulas
+
     kind = args.formula
     if kind not in ("dm2", "bell") and args.k is None:
         raise ValueError(f"formula {kind} requires --k")
@@ -128,6 +137,8 @@ def _cmd_formula(args) -> int:
 
 
 def _parse_values(text: str) -> list[Fraction]:
+    from fractions import Fraction
+
     tokens = [part.strip() for part in text.split(",") if part.strip()]
     for token in tokens:
         exponent = _EXPONENT.search(token)
@@ -149,6 +160,8 @@ def _write_or_print(t: table.AdditionTable, out: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
+    from . import builders
+
     family = args.family
     required = {
         "sup": ("values",),
@@ -193,6 +206,8 @@ def _parse_indices(text: str) -> list[int]:
 
 
 def _cmd_audit(args) -> int:
+    from . import audit
+
     report = audit.run_audit(n_max=args.n_max, deep=args.deep, jobs=args.jobs)
     _print_json(report.to_json_dict())
     if args.timings:

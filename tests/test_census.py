@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -519,8 +520,10 @@ class TestMergedRuns:
 
     @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs VmHWM")
     def test_parent_peak_stays_flat_at_n9(self):
-        # the parent's peak rises 3.8-4.4 MiB; before the merge, when it held
-        # and sorted the whole level, 20.4-20.6 MiB (2 cores, Python 3.11)
+        # the parent's peak rises 4.9-5.3 MiB, about 1 MiB of it the
+        # multiprocessing and tempfile modules, which the census imports
+        # when it forks and keeps; before the merge, when it held and sorted
+        # the whole level, 20.4-20.6 MiB (2 cores, Python 3.11)
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c", _PARENT_PEAK_SCRIPT],
@@ -602,7 +605,8 @@ class TestPartitioning:
                 return map(fn, tasks)
 
         n = census.FORK_N
-        monkeypatch.setattr(census, "Pool", RecordingPool)
+        # the census imports Pool from multiprocessing only when it forks
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         sequential = enumerate_tables(SearchConfig(n=n))
         assert sizes == []  # one job runs its tasks in this process
         # the monoids on n - 3 elements are the tasks, 94 of them, taken in
@@ -631,7 +635,7 @@ class TestPartitioning:
         def refuse(*args, **kwargs):
             raise AssertionError("magma emission started a process pool")
 
-        monkeypatch.setattr(census, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         result = enumerate_tables(SearchConfig(n=4, want_magmas=True, emit=True, job_count=2))
         assert list(result.emitted) == _magma_tables(4)
         assert len(result.emitted) == 42
