@@ -53,12 +53,26 @@ equation of row r are 0, so the row is not tested.
 Saturated suffix.  Once u_r <= r + 1, u_s lies in [max(g[s], s), s] for
 s = r + 1, so u_s = s, and the same holds for every later row: rows s..q
 are forced to u_x = x.  P allows that, since g[s] <= g[r] <= u_r <= s,
-and g[x] <= g[s] <= s <= x for the later rows.  Then every cell of
-rows >= s is an m-cell, so every equation of a row >= s holds unless its
-other side lies wholly in rows < s and misses the m-cells so far.  Those
-sides are collected once per (parent, s), the single cells into one mask
-and the two-cell sides into a list, and one test of them decides the one
-child.
+and g[x] <= g[s] <= s <= x for the later rows.  That completion M is a
+child, so rows s..q are not tested.  Row r is tested, since its mask
+holds cell (r, u_r), and so were the rows before it that needed a test,
+so M keeps the equations of rows <= r, whose cells lie in rows <= r.
+Every cell {x, y} with x >= r and y >= s is an m-cell of M (u_r <= s,
+and u_x = x for x >= s), so P[x][y] = q there, and the first side of
+every equation of a row k >= s is an m-cell.  Such an equation holds iff
+its other side holds an m-cell:
+* X[c][q] = X[b0][q], c > b0: if b0 >= r, cell {b0, q} is an m-cell; if
+  b0 < r, the same equation at c = r is one of row r, and X[r][q] holds.
+* X[c][q] = X[b][c] or X[g[b]][q], c >= b: if b >= r, cell {b, c} is an
+  m-cell; if b < r, the same equation at c = r holds, and X[b][r] implies
+  X[b][c].
+* a triple a <= b <= c with P[a][b] < q: k >= s gives P[a][b] >= s and
+  c >= s.  If b >= r, (a+c)+b is cell {P[a][c], b} with P[a][c] >= c,
+  and (b+c)+a holds cell {b, c}, since P[b][c] = q: both are m-cells.  If
+  b < r, P[a][b] >= s >= g[r] gives P[r][P[a][b]] = q, so (a, b, r) is a
+  triple with P-sum q in row r, whose first side, cell (r, P[a][b]), is
+  an m-cell.  Row r holds, so (a+r)+b = (b+r)+a = m in M, and M is
+  monotone and c >= r, so (a+c)+b = (b+c)+a = m.
 
 Complexity.  arch is the least k such that every r >= 1 absorbs reach(r,
 k), the sums of k elements >= r (analysis.arch_complexity).  reach(r,
@@ -360,8 +374,8 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
     being the column where row r's m-cells start), the other is tested
     against the m-cells so far.  A row with no m-cells so far is not
     tested (empty prefix).  After u[r] <= r + 1, rows r + 1..q are forced
-    to u[x] = x, and one test of the sides below row r + 1 decides that
-    one child (saturated suffix).  The module docstring proves each rule.
+    to u[x] = x, and that completion is a child without a test (saturated
+    suffix).  The module docstring proves each rule.
     """
     n, root, keep = task
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
@@ -413,9 +427,9 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                             eq.append((y1, e2))
                     if a < b:
                         bc = P[b * m + c]
-                        e3 = bit[bc][a] if bc < q else bit[b][c] | bq[a]
-                        if e1 != e3:
-                            eq.append((y1, e3))
+                        # never e1 = {P[a][b], c}: two cells, or a cell
+                        # holding a, and a < b <= P[a][b], c
+                        eq.append((y1, bit[bc][a] if bc < q else bit[b][c] | bq[a]))
         # then those with P[a][b] = q: X[c][q] = X[b0][q] for c > b0, and
         # X[c][q] = X[b][c] or X[g[b]][q] for b >= b0, c >= b
         for c in range(b0 + 1, m):
@@ -427,10 +441,8 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                     eqs[c].append((q, bit[b][c] | bq[a]))
         # per row r: threshold u[r] in [max(g[r], r), u[r - 1]] (m: no
         # m-cells), the m-cells of rows 1..r as X[r], and tau[r], the first
-        # row so far with r + q = m; free[tau] and sat[s] are computed on
-        # first use
+        # row so far with r + q = m; free[tau] is computed on first use
         free = [-1] * m
-        sat: list[tuple[int, list[int]] | None] = [None] * m
         u = [m] * m
         X = [0] * m
         tau = [0] * m
@@ -456,26 +468,8 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                         r = s
                         t = g[s] if g[s] > s else s
                         continue
-                    # rows s..q are saturated: u[x] = x there, which P
-                    # allows (g[s] <= g[r] <= t <= s); every cell of those
-                    # rows is then an m-cell, so only sides below row s can
-                    # fail
-                    found = sat[s]
-                    if found is None:
-                        below = 1 << s * m
-                        ones = 0
-                        pairs = []
-                        for k in range(s, m):
-                            for _, side in eqs[k]:
-                                if side < below:
-                                    if side & (side - 1):
-                                        pairs.append(side)
-                                    else:
-                                        ones |= side
-                        found = sat[s] = (ones, pairs)
-                    if found[0] & ~mask or not all(map(mask.__and__, found[1])):
-                        t += 1
-                        continue
+                    # rows s..q are saturated: u[x] = x there, and that
+                    # completion is a child (saturated suffix)
                     u[s:] = range(s, m)
                     mask |= tail[s]
                 # a child: its complexity is p + 1 iff some cell (s, y) with
@@ -672,9 +666,10 @@ def enumerate_tables(config: SearchConfig) -> CensusResult:
 def dm_table(n_max: int, job_count: int = 1) -> list[list[int]]:
     """Rows n = 1..n_max of monoid counts by complexity k = 1..n, all read
     from one truncation census up to n_max."""
+    # SearchConfig refuses job_count < 1, for n_max < 1 too
+    SearchConfig(n=max(n_max, 1), job_count=job_count).check_scale()
     if n_max < 1:
         return []
-    SearchConfig(n=n_max, job_count=job_count).check_scale()
     counts = _truncation_counts(n_max, job_count)[0]
     return [[counts[n].get(k, 0) for k in range(1, n + 1)] for n in range(1, n_max + 1)]
 
