@@ -22,16 +22,16 @@ from .analysis import (
     arch_complexity,
     arch_complexity_naive,
     decompose,
-    idempotents,
+    idempotents,  # not called here, but perfbench/spans.py wraps audit.idempotents
 )
 from .builders import enumerate_complexity2
 from .census import (
     MAGMA_GUARD,
     CensusResult,
     SearchConfig,
+    _stream_levels,
     count_magmas,
     enumerate_tables,
-    stream_tables,
 )
 from .errors import scale_override_active
 from .formulas import bell, dm_n_2, dm_near_top, lower_bound
@@ -66,8 +66,8 @@ class CheckRecord:
 @dataclass(frozen=True)
 class AuditReport:
     records: tuple[CheckRecord, ...]
-    # seconds spent in the monoid censuses the checks read, building their
-    # tables included (not the deep one)
+    # seconds spent in the one monoid census the checks read, its streams
+    # and the tables they build included (not the deep one)
     census_s: float = field(default=0.0, compare=False)
 
     @property
@@ -117,10 +117,11 @@ def run_audit(
     is within it) needs DISTMON_SCALE_OVERRIDE=1, and without it check (c)
     stops at MAGMA_GUARD.
 
-    The census of each n is read in one pass over its streamed monoids:
-    the per-table parts of checks (d), (e), (f) and (h) run as each table
-    arrives and keep only their tallies, so the pass holds one table at a
-    time.  The records are then made in check order from the tallies.
+    One truncation census up to n_max streams the monoids of every n, and
+    each n is read in one pass over its stream: the per-table parts of
+    checks (d), (e), (f) and (h) run as each table arrives and keep only
+    their tallies, so the pass holds one table at a time.  The records are
+    then made in check order from the tallies.
 
     census_hook is a test seam: it may transform each census result and
     its stream of (table, arch) pairs before the checks see them, so the
@@ -128,7 +129,7 @@ def run_audit(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    # the largest census is guarded before the smaller ones spend time
+    # guarded before the census spends any time
     SearchConfig(n=n_max).check_scale()
     records: list[CheckRecord] = []
     spent: Counter = Counter()
@@ -160,8 +161,7 @@ def run_audit(
     missing: Counter = Counter()  # (e) per n
     bijection: dict[int, str] = {}  # (f) per n
     bad: Counter = Counter()  # (h) per n
-    for n in range(1, n_max + 1):
-        result, tables = stream_tables(SearchConfig(n=n, emit=True, job_count=jobs))
+    for n, (result, tables) in enumerate(_stream_levels(n_max, jobs), start=1):
         if n <= magma_top:
             result = replace(result, magma_count=count_magmas(n))
         if census_hook is not None:
@@ -186,14 +186,13 @@ def run_audit(
             if 2 <= n <= 6 and arch == 2:
                 stratum2.add(t)
                 split(("f", n))
-            # (h) class decomposition vs idempotent splitting
+            # (h) class decomposition vs idempotent splitting: decompose
+            # raises AssertionError if the two differ, and otherwise has one
+            # class per idempotent by construction
             try:
-                dec = decompose(t)  # AssertionError if the two splittings differ
+                decompose(t)
             except AssertionError:
                 bad[n] += 1
-            else:
-                if dec.class_count != len(idempotents(t)):
-                    bad[n] += 1
             split(("h", n))
         split("census")
         if 2 <= n <= 6:

@@ -108,15 +108,18 @@ order in which the row generator below emits magmas: in the flat
 row-major table every entry below the diagonal mirrors an earlier upper
 cell, so the first byte where two tables differ is their first differing
 upper cell.  The order is global, so it does not depend on job_count.
-The sort is external.  Each task sorts its own monoids and returns them
-as one run of fixed-size records, the table's bytes and then its arch
-byte, and the parent appends each run to one temporary file as it
-arrives.  The table part has a fixed length, so the records' byte order
-is the tables' order, and the stream merges the runs from the file,
-reading a share of MERGE_BUFFER bytes from each at a time.  So no process
-holds the whole level: a task holds its own monoids, the parent one pool
-chunk of runs while they arrive and one block per run while they merge,
-and stream_tables() builds each emitted table, monoid or magma, when its
+The sort is external, and a census may keep every level from a floor up
+(the audit keeps them all, stream_tables() only level n).  Each task
+sorts its own monoids of each kept level and returns them as one run per
+level of fixed-size records, the table's bytes and then its arch byte;
+the levels the parent grows itself go in as one run each.  The parent
+appends each run to its level's temporary file as it arrives.  The table
+part has a fixed length, so the records' byte order is the tables'
+order, and each level's stream merges its runs from its file, reading a
+share of MERGE_BUFFER bytes from each at a time.  So no process holds a
+whole level: a task holds its own monoids, the parent one pool chunk of
+runs while they arrive and one block per run while they merge, and
+stream_tables() builds each emitted table, monoid or magma, when its
 caller reaches it.
 
 The row generator.  Row i of a magma table at columns i..n is
@@ -143,7 +146,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations_with_replacement
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import check_scale
 from .table import AdditionTable
@@ -313,9 +316,15 @@ def _magma_walk(n: int, stop: int) -> Iterator[list[int]]:
             yield T
 
 
-def _rows(T: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+@cache
+def _row_slices(n: int) -> tuple[slice, ...]:
     N1 = n + 1
-    return tuple(tuple(T[r * N1 : r * N1 + N1]) for r in range(N1))
+    return tuple(slice(r * N1, r * N1 + N1) for r in range(N1))
+
+
+def _rows(T: list[int] | bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a flat (n+1)^2 table, a list or bytes, as int tuples."""
+    return tuple(map(tuple, map(T.__getitem__, _row_slices(n))))
 
 
 def partition_work(n: int, depth: int) -> list[tuple[int, ...]]:
@@ -357,11 +366,12 @@ def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     return bit, span, tail
 
 
-def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
-    """Grow one task (n, root, keep), root a (level, table, arch) triple
+def _grow(task: tuple) -> tuple[list[dict[int, int]], list[list[tuple[bytes, int]]]]:
+    """Grow one task (n, root, floor), root a (level, table, arch) triple
     with level <= n: counts[m][arch] for the descendants of root on m
-    elements, and with `keep` the monoids on n elements under it (root
-    itself when level = n) as (table, arch) pairs in visit order.
+    elements, and kept[m], the descendants on m >= floor elements as
+    (table, arch) pairs in visit order (m <= n; root itself is neither
+    counted nor kept).
 
     Tables are flat: a monoid on q elements is (q+1) x (q+1), row-major.  Each
     popped parent P of complexity p on q = m - 1 elements has its children
@@ -377,12 +387,10 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
     to u[x] = x, and that completion is a child without a test (saturated
     suffix).  The module docstring proves each rule.
     """
-    n, root, keep = task
+    n, root, floor = task
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    if root[0] == n:
-        return counts, [(bytes(root[1]), root[2])] if keep else []
-    kept = []
-    stack = [root]
+    kept: list[list[tuple[bytes, int]]] = [[] for _ in range(n + 1)]
+    stack = [root] if root[0] < n else []
     while stack:
         level, P, p = stack.pop()
         m = level + 1
@@ -499,7 +507,7 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                     if cells & ~mask:
                         arch = p + 1
                 tally[arch] = tally.get(arch, 0) + 1
-                if m < n or keep:
+                if m < n or m >= floor:
                     N1 = m + 1
                     T = [m] * (N1 * N1)
                     for x in range(m):
@@ -509,8 +517,8 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
                             T[x * N1 + y] = T[y * N1 + x] = m
                     if m < n:
                         stack.append((m, T, arch))
-                    else:
-                        kept.append((bytes(T), arch))
+                    if m >= floor:
+                        kept[m].append((bytes(T), arch))
             t += 1
     return counts, kept
 
@@ -519,13 +527,16 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[tuple[bytes, int]]]:
 _ROOT = (1, [0, 1, 1, 1], 1)
 
 
-def _grow_run(task: tuple) -> tuple[list[dict[int, int]], bytes]:
-    """_grow(task), with its kept monoids sorted and packed into one run of
-    records, each the table's bytes and then its arch byte."""
+def _run(pairs: list[tuple[bytes, int]]) -> bytes:
+    """(table, arch) pairs sorted and packed into one run of records, each
+    the table's bytes and then its arch byte."""
+    return b"".join(sorted([T + bytes((arch,)) for T, arch in pairs]))
+
+
+def _grow_run(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
+    """_grow(task), with the kept monoids of each level as one sorted run."""
     counts, kept = _grow(task)
-    records = [T + bytes((arch,)) for T, arch in kept]
-    records.sort()
-    return counts, b"".join(records)
+    return counts, list(map(_run, kept))
 
 
 def _merge_runs(
@@ -533,7 +544,7 @@ def _merge_runs(
 ) -> Iterator[tuple[bytes, int]]:
     """The records of size bytes in the sorted runs runs_file[start:end],
     merged into one sorted stream of (table, arch) pairs.  Closes runs_file
-    when drained or dropped."""
+    when drained or dropped, read or not."""
     import heapq
 
     block = max(1, MERGE_BUFFER // (size * len(runs))) * size
@@ -547,64 +558,102 @@ def _merge_runs(
             for i in range(0, len(data), size):
                 yield data[i : i + size]
 
-    with runs_file:
-        for record in heapq.merge(*(records(start, end) for start, end in runs)):
-            yield record[:-1], record[-1]
+    def merged() -> Iterator[tuple[bytes, int]]:
+        with runs_file:
+            yield  # started here, inside the with, so closing it closes the file
+            for record in heapq.merge(*(records(start, end) for start, end in runs)):
+                yield record[:-1], record[-1]
+
+    stream = merged()
+    next(stream)
+    return stream
 
 
 def _truncation_counts(
-    n: int, job_count: int, keep: bool = False
-) -> tuple[list[dict[int, int]], Iterator[tuple[bytes, int]]]:
-    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and an
-    iterator of the monoids on n elements as (table, arch) pairs in the
-    order of their table bytes, empty unless `keep`.
+    n: int, job_count: int, floor: int | None = None
+) -> tuple[list[dict[int, int]], dict[int, Iterator[tuple[bytes, int]]]]:
+    """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
+    for each level m = floor..n an iterator of the monoids on m elements as
+    (table, arch) pairs in the order of their table bytes (none without a
+    floor).
 
-    With `keep`, each task returns its monoids as one sorted run of
-    (n + 1)^2 + 1 byte records, the table and then its arch.  The runs are
-    appended to one temporary file, opened before anything grows, and the
-    iterator merges them from it as it is read, so no process holds the
-    whole level.  The table part has a fixed length, so the records' byte
-    order is the pairs' order."""
+    Each kept level has its own temporary file, opened before anything
+    grows.  Each task returns its monoids of a level as one sorted run of
+    (m + 1)^2 + 1 byte records, the table and then its arch, and the levels
+    grown here go in as one run each.  The runs are appended to their
+    level's file, and its iterator merges them from it as it is read, so no
+    process holds a whole level.  The table part has a fixed length, so the
+    records' byte order is the pairs' order."""
+    floor = n + 1 if floor is None else floor
     # tempfile only to keep and multiprocessing only to fork: a spawned
     # pool worker imports this module, and needs neither
-    runs_file = None
-    if keep:
+    files: dict[int, BinaryIO] = {}
+    runs: dict[int, list[tuple[int, int]]] = {}
+    if floor <= n:
         import tempfile
 
-        runs_file = tempfile.TemporaryFile()
-    runs = []
+    def append(m: int, run: bytes) -> None:
+        if run:
+            start = files[m].tell()
+            files[m].write(run)
+            runs[m].append((start, start + len(run)))
+
     try:
+        for m in range(floor, n + 1):
+            files[m] = tempfile.TemporaryFile()
+            runs[m] = []
         split = n - 3 if n >= FORK_N else 1
         # levels 2..split are counted here, the levels above by one task per
         # root, in a pool when min(job_count, tasks, cores) > 1
-        counts, roots = _grow((split, _ROOT, True))
+        counts, kept = _grow((split, _ROOT, min(floor, split)))
         counts[1][1] = 1
+        kept[1] = [(bytes(_ROOT[1]), _ROOT[2])]
+        for m in range(floor, split + 1):
+            append(m, _run(kept[m]))
         counts += [{} for _ in range(n - split)]
+        roots = kept[split]
         # largest first: a root's cells holding its top element are where its
         # children's m-cells can go, so the run ends on small tasks
         roots.sort(key=lambda root: -root[0].count(split))
-        tasks = [(n, (split, T, arch), keep) for T, arch in roots]
+        tasks = [(n, (split, T, arch), floor) for T, arch in roots]
         workers = min(job_count, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             from multiprocessing import Pool
         with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
             chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
             mapper = map if pool is None else partial(pool.imap, chunksize=chunk)
-            for part, run in mapper(_grow_run, tasks):
+            for part, level_runs in mapper(_grow_run, tasks):
                 for tally, part_tally in zip(counts, part):
                     for arch, count in part_tally.items():
                         tally[arch] = tally.get(arch, 0) + count
-                if run:
-                    start = runs_file.tell()
-                    runs_file.write(run)
-                    runs.append((start, start + len(run)))
+                for m in files:
+                    append(m, level_runs[m])
     except BaseException:
-        if runs_file is not None:
+        for runs_file in files.values():
             runs_file.close()
         raise
-    if runs_file is None:
-        return counts, iter(())
-    return counts, _merge_runs(runs_file, runs, (n + 1) ** 2 + 1)
+    return counts, {
+        m: _merge_runs(runs_file, runs[m], (m + 1) ** 2 + 1) for m, runs_file in files.items()
+    }
+
+
+def _level(
+    n: int,
+    counts: list[dict[int, int]],
+    kept: Iterable[tuple[bytes | list[int], int | None]],
+    magma_count: int | None = None,
+) -> tuple[CensusResult, Iterator[tuple[AdditionTable, int | None]]]:
+    """The result of a census of level n, from its counts, and its stream of
+    (table, arch) pairs, each table built from `kept` when it is reached."""
+    by_arch = dict(sorted(counts[n].items()))
+    result = CensusResult(
+        n=n,
+        magma_count=magma_count,
+        monoid_count=sum(by_arch.values()),
+        by_arch=by_arch,
+        emitted=None,
+    )
+    return result, ((AdditionTable(n, _rows(T, n)), arch) for T, arch in kept)
 
 
 def stream_tables(
@@ -633,22 +682,25 @@ def stream_tables(
     n = config.n
     config.check_scale()
     emit_monoids = config.emit and not config.want_magmas
-    counts, kept = _truncation_counts(n, config.job_count, keep=emit_monoids)
+    counts, levels = _truncation_counts(n, config.job_count, floor=n if emit_monoids else None)
+    kept = levels.get(n, ())
     if emit_monoids:
         kept = (pair for pair in kept if config.arch_filter in (None, pair[1]))
     elif config.emit:
         kept = ((T, None) for T in _magma_walk(n, n * (n + 1) // 2))
-    tables = ((AdditionTable(n, _rows(T, n)), arch) for T, arch in kept)
+    return _level(n, counts, kept, count_magmas(n) if config.want_magmas else None)
 
-    by_arch = dict(sorted(counts[n].items()))
-    result = CensusResult(
-        n=n,
-        magma_count=count_magmas(n) if config.want_magmas else None,
-        monoid_count=sum(by_arch.values()),
-        by_arch=by_arch,
-        emitted=None,
-    )
-    return result, tables
+
+def _stream_levels(
+    n_max: int, job_count: int
+) -> list[tuple[CensusResult, Iterator[tuple[AdditionTable, int]]]]:
+    """For n = 1..n_max, what stream_tables(SearchConfig(n, emit=True,
+    job_count=job_count)) returns, all read from one truncation census up
+    to n_max.  Each level's stream has its own temporary file, and closes
+    it when drained or dropped."""
+    SearchConfig(n=n_max, emit=True, job_count=job_count).check_scale()
+    counts, levels = _truncation_counts(n_max, job_count, floor=1)
+    return [_level(n, counts, levels[n]) for n in range(1, n_max + 1)]
 
 
 def enumerate_tables(config: SearchConfig) -> CensusResult:

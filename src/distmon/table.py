@@ -17,11 +17,12 @@ Axioms checked by `validate`:
                 separates magmas from monoids and is reported, not required.
 
 Validation runs in two stages.  A whole-table screen (`_screen`) tests
-identity, symmetry, sorted rows and, row by row with `bytes.translate`,
-associativity; those imply positivity and column monotonicity, so a table
-that passes violates nothing and gets one shared clean report.  Every
-other table is scanned cell by cell by the violation generators, which
-alone produce witnesses, in a fixed order and up to the cap.
+identity, symmetry, sorted rows and, with one `bytes.translate` per row
+and one comparison, associativity; those imply positivity and column
+monotonicity, so a table that passes violates nothing and gets one shared
+clean report.  Every other table is scanned cell by cell by the violation
+generators, which alone produce witnesses, in a fixed order and up to the
+cap.
 """
 
 from __future__ import annotations
@@ -212,8 +213,9 @@ def _screen(e: Sequence[Sequence[int]], n: int) -> bool:
     e[i][j] = e[j][i] <= e[j][i+1] = e[i+1][j] (columns nondecrease).
     Associativity: for each i the table mapped through row i,
     i + (j + k), must equal the rows e[e[i][j]], (i + j) + k, laid end to
-    end.  For i <= j <= k the rows of i alone give (i+j)+k = i+(j+k) =
-    (j+k)+i and (i+k)+j = i+(k+j), all three bracketings.
+    end; both sides are laid end to end for i = 1..n and compared once.
+    For i <= j <= k the rows of i alone give (i+j)+k = i+(j+k) = (j+k)+i
+    and (i+k)+j = i+(k+j), all three bracketings.
 
     False means "not vouched for", not "invalid": n > 255 (no byte holds
     it), rows that are not tuples, cells that are not ints, and a cell
@@ -224,14 +226,13 @@ def _screen(e: Sequence[Sequence[int]], n: int) -> bool:
     try:
         if e[0] != tuple(range(n + 1)) or tuple(zip(*e)) != e:
             return False
-        if any(row != tuple(sorted(row)) for row in e):
+        if list(map(sorted, e)) != list(map(list, e)):
             return False
         rows = [bytes(row) for row in e]
         flat = b"".join(rows)
         pad = bytes(255 - n)
-        return all(
-            flat.translate(rows[i] + pad) == b"".join(map(rows.__getitem__, e[i]))
-            for i in range(1, n + 1)
+        return b"".join([flat.translate(row + pad) for row in rows[1:]]) == b"".join(
+            map(rows.__getitem__, flat[n + 1 :])
         )
     except (IndexError, TypeError, ValueError):
         return False

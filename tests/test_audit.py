@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from distmon import audit
+from distmon import audit, census
 from distmon.audit import run_audit
 from distmon.errors import SCALE_OVERRIDE_ENV, ScaleGuardError
 
@@ -39,12 +39,14 @@ class TestRunAudit:
             run_audit(0)
 
     def test_scale_guard_precedes_every_census(self, monkeypatch):
-        def refuse(config):
+        def refuse(*args):
             raise AssertionError("the audit ran a census before its scale guard")
 
         monkeypatch.delenv(SCALE_OVERRIDE_ENV, raising=False)
         monkeypatch.setattr(audit, "enumerate_tables", refuse)
-        monkeypatch.setattr(audit, "stream_tables", refuse)
+        monkeypatch.setattr(audit, "_stream_levels", refuse)
+        monkeypatch.setattr(census, "stream_tables", refuse)
+        monkeypatch.setattr(census, "_truncation_counts", refuse)
         with pytest.raises(ScaleGuardError, match="monoid census n=10"):
             run_audit(10)
 
@@ -92,6 +94,19 @@ class TestFaultInjection:
         report = run_audit(4, census_hook=corrupt)
         failing = {(r.name, r.parameters.get("n")) for r in report.failures}
         assert failing == {("arch-dp-vs-naive", 4), ("complexity2-bijection", 4)}
+
+    def test_failed_class_splitting_is_caught(self, monkeypatch):
+        real = audit.decompose
+
+        def failing(t):
+            if t.n == 5:
+                raise AssertionError("multiple-stabilization and idempotent splits differ")
+            return real(t)
+
+        monkeypatch.setattr(audit, "decompose", failing)
+        report = run_audit(6)
+        failing_checks = [(r.name, r.parameters["n"], r.actual) for r in report.failures]
+        assert failing_checks == [("class-splitting-agreement", 5, "94")]
 
     def test_json_shape(self):
         obj = run_audit(2).to_json_dict()

@@ -206,7 +206,7 @@ class TestWalk:
     def test_leaf_arch_equals_arch_complexity(self, n):
         # every checked-walk leaf is a monoid, and arch_complexity gives it
         # the arch the truncation census gives the same table
-        kept = list(census._truncation_counts(n, 1, keep=True)[1])
+        kept = list(census._truncation_counts(n, 1, floor=n)[1][n])
         leaves = [bytes(T) for T in _walk(n, (), _ncells(n), True)]
         assert leaves == [T for T, _ in kept]
         checked = 0
@@ -308,7 +308,7 @@ class TestTruncation:
     @staticmethod
     def _children(P, m, p):
         """(rows, arch) of the children the truncation census grows from P."""
-        return [(_rows(T, m), arch) for T, arch in _grow((m, (m - 1, P, p), True))[1]]
+        return [(_rows(T, m), arch) for T, arch in _grow((m, (m - 1, P, p), m))[1][m]]
 
     # every parent up to m = 8, so each rule of the row DFS (row keys, the
     # empty prefix) and the saturated suffix's untested completion meet the
@@ -475,19 +475,19 @@ class TestMergedRuns:
 
     @pytest.mark.parametrize("n, jobs", [(8, 1), (8, 2), (9, 2)])
     def test_stream_equals_level_sorted_in_memory(self, n, jobs):
-        streamed = list(census._truncation_counts(n, jobs, keep=True)[1])
-        assert streamed == sorted(_grow((n, _ROOT, True))[1])
+        streamed = list(census._truncation_counts(n, jobs, floor=n)[1][n])
+        assert streamed == sorted(_grow((n, _ROOT, n))[1][n])
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_stream_closes_its_file(self):
         before = _deleted_temp_files()
-        stream = census._truncation_counts(8, 2, keep=True)[1]
+        stream = census._truncation_counts(8, 2, floor=8)[1][8]
         next(stream)
         assert len(_deleted_temp_files().keys() - before.keys()) == 1
         del stream
         gc.collect()
         assert _deleted_temp_files() == before
-        assert len(list(census._truncation_counts(7, 1, keep=True)[1])) == 2386
+        assert len(list(census._truncation_counts(7, 1, floor=7)[1][7])) == 2386
         assert _deleted_temp_files() == before
 
     def test_counting_census_opens_no_file(self, monkeypatch):
@@ -498,9 +498,9 @@ class TestMergedRuns:
         grow_run = census._grow_run
 
         def record(task):
-            counts, run = grow_run(task)
-            runs.append(run)
-            return counts, run
+            counts, level_runs = grow_run(task)
+            runs.append(b"".join(level_runs))
+            return counts, level_runs
 
         monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
         monkeypatch.setattr(census, "_grow_run", record)
@@ -538,6 +538,79 @@ class TestMergedRuns:
         count, rise_kb = map(int, proc.stdout.split())
         assert count == 86417
         assert rise_kb < 10 * 1024
+
+
+class TestAuditCensus:
+    """The audit reads every level from one truncation census that keeps
+    each level in its own temporary file; the oracle is stream_tables of
+    each level on its own."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_levels_equal_stream_tables(self, jobs):
+        levels = census._stream_levels(8, jobs)
+        assert len(levels) == 8
+        for n, (result, stream) in enumerate(levels, start=1):
+            expected, tables = stream_tables(SearchConfig(n=n, emit=True, job_count=jobs))
+            assert result == expected
+            assert list(stream) == list(tables)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_audit_grows_one_census(self, monkeypatch, jobs):
+        calls = Counter()
+        truncation_counts, grow = census._truncation_counts, census._grow
+
+        def counting_census(*args, **kwargs):
+            calls["census"] += 1
+            return truncation_counts(*args, **kwargs)
+
+        def counting_grow(task):
+            # pool tasks on 2 jobs grow in the workers, uncounted here
+            calls["from root"] += task[1] is _ROOT
+            return grow(task)
+
+        monkeypatch.setattr(census, "_truncation_counts", counting_census)
+        monkeypatch.setattr(census, "_grow", counting_grow)
+        assert run_audit(8, jobs=jobs).overall
+        assert calls == {"census": 1, "from root": 1}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_audit_closes_every_file(self):
+        before = _deleted_temp_files()
+        opened = []
+
+        def drained(result, tables):
+            if result.n == 1:
+                opened.append(len(_deleted_temp_files().keys() - before.keys()))
+            return result, tables
+
+        assert run_audit(8, jobs=2, census_hook=drained).overall
+        assert opened == [8]  # one file per level
+        assert _deleted_temp_files() == before
+
+        def dropped(result, tables):
+            # level 4 is read for one table and dropped
+            if result.n == 4:
+                next(tables)
+                return result, iter(())
+            return result, tables
+
+        assert not run_audit(8, census_hook=dropped).overall
+        assert _deleted_temp_files() == before
+
+        def interrupted(result, tables):
+            if result.n != 3:
+                return result, tables
+
+            def broken():
+                yield next(tables)
+                raise RuntimeError("interrupted")
+
+            return result, broken()
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_audit(8, jobs=2, census_hook=interrupted)
+        gc.collect()
+        assert _deleted_temp_files() == before
 
 
 class TestPartitioning:
