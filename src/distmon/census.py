@@ -94,13 +94,14 @@ maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
   its own m-cells.  Every mask holds a cell at its upper-triangle bit
   (_level_bits), so a cell (s, y) with y < s is tested as X[y][s] =
   X[s][y].
-The levels m = 1..n are grown depth-first from an explicit stack.  From
-n = FORK_N on, each monoid on n - 3 elements roots one task.  The tasks
-go largest first, ranked by the cells that hold the root's top element,
-where its children's m-cells can go, so the run ends on small tasks.
-With job_count > 1 they run in a process pool that takes them
-CHUNKS_PER_WORKER chunks per worker, not one message each, and they merge
-in task order either way.
+The levels m = 1..n are grown depth-first from an explicit stack of
+records.  A monoid is one record from its growth to its stream: its flat
+table's bytes and then its arch byte.  From n = FORK_N on, each monoid on
+n - 3 elements roots one task.  The tasks go largest first, ranked by the
+cells that hold the root's top element, where its children's m-cells can
+go, so the run ends on small tasks.  With job_count > 1 they run in a
+process pool that takes them CHUNKS_PER_WORKER chunks per worker, not one
+message each, and they merge in task order either way.
 
 Emitted monoids are the level-n tables sorted by their bytes.  That is
 lexicographic order on the upper-triangle cells in row-major order, the
@@ -110,17 +111,17 @@ cell, so the first byte where two tables differ is their first differing
 upper cell.  The order is global, so it does not depend on job_count.
 The sort is external, and a census may keep every level from a floor up
 (the audit keeps them all, stream_tables() only level n).  Each task
-sorts its own monoids of each kept level and returns them as one run per
-level of fixed-size records, the table's bytes and then its arch byte;
-the levels the parent grows itself go in as one run each.  The parent
-appends each run to its level's temporary file as it arrives.  The table
-part has a fixed length, so the records' byte order is the tables'
-order, and each level's stream merges its runs from its file, reading a
-share of MERGE_BUFFER bytes from each at a time.  So no process holds a
-whole level: a task holds its own monoids, the parent one pool chunk of
-runs while they arrive and one block per run while they merge, and
-stream_tables() builds each emitted table, monoid or magma, when its
-caller reaches it.
+sorts the records of its own monoids of each kept level and returns them
+as one run per level; the levels the parent grows itself go in as one run
+each, and the parent cuts its tasks' roots from its own run of their
+level.  The parent appends each run to its level's temporary file as it
+arrives.  The table part has a fixed length, so the records' byte order
+is the tables' order, and each level's stream merges its runs from its
+file, reading a share of MERGE_BUFFER bytes from each at a time.  So no
+process holds a whole level: a task holds its own monoids, the parent one
+pool chunk of runs while they arrive and one block per run while they
+merge, and stream_tables() builds each emitted table, monoid or magma,
+when its caller reaches it, a monoid's table and arch from its record.
 
 The row generator.  Row i of a magma table at columns i..n is
 nondecreasing, bounded above by n and below, cell by cell, by row i-1 at
@@ -366,17 +367,18 @@ def _level_bits(m: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
     return bit, span, tail
 
 
-def _grow(task: tuple) -> tuple[list[dict[int, int]], list[list[tuple[bytes, int]]]]:
-    """Grow one task (n, root, floor), root a (level, table, arch) triple
-    with level <= n: counts[m][arch] for the descendants of root on m
-    elements, and kept[m], the descendants on m >= floor elements as
-    (table, arch) pairs in visit order (m <= n; root itself is neither
-    counted nor kept).
+def _grow(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
+    """Grow one task (n, root, floor), root a (level, record) pair with
+    level <= n: counts[m][arch] for the descendants of root on m elements,
+    and runs[m], the descendants on m >= floor elements as one run of their
+    records in byte order (m <= n; root itself is neither counted nor kept).
 
-    Tables are flat: a monoid on q elements is (q+1) x (q+1), row-major.  Each
-    popped parent P of complexity p on q = m - 1 elements has its children
-    on m elements found by a DFS over rows; all of it runs inline in this
-    one frame, so the cost does not depend on the caller's stack depth.
+    A monoid on q elements is one record: its flat (q+1) x (q+1) table,
+    row-major, as bytes, and then its arch byte.  The stack and the kept
+    levels hold the same records.  Each popped parent P of complexity p =
+    P[-1] on q = m - 1 elements has its children on m elements found by a
+    DFS over rows; all of it runs inline in this one frame, so the cost
+    does not depend on the caller's stack depth.
 
     Per parent, the equations are filed by row key as they are built,
     without those that others imply when P[a][b] = q, and row r tests only
@@ -389,10 +391,13 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[list[tuple[bytes, int
     """
     n, root, floor = task
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    kept: list[list[tuple[bytes, int]]] = [[] for _ in range(n + 1)]
+    kept: list[list[bytes]] = [[] for _ in range(n + 1)]
     stack = [root] if root[0] < n else []
     while stack:
-        level, P, p = stack.pop()
+        level, record = stack.pop()
+        # indexed as a list: CPython specialises list indexing, not bytes
+        P = list(record)
+        p = P[-1]
         m = level + 1
         q = level
         bit, span, tail = _level_bits(m)
@@ -509,42 +514,30 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[list[tuple[bytes, int
                 tally[arch] = tally.get(arch, 0) + 1
                 if m < n or m >= floor:
                     N1 = m + 1
-                    T = [m] * (N1 * N1)
+                    T = [m] * (N1 * N1 + 1)
                     for x in range(m):
                         T[x * N1 : x * N1 + m] = P[x * m : x * m + m]
                     for x in range(1, m):
                         for y in range(u[x], m):
                             T[x * N1 + y] = T[y * N1 + x] = m
+                    T[-1] = arch
+                    child = bytes(T)
                     if m < n:
-                        stack.append((m, T, arch))
+                        stack.append((m, child))
                     if m >= floor:
-                        kept[m].append((bytes(T), arch))
+                        kept[m].append(child)
             t += 1
-    return counts, kept
+    return counts, [b"".join(sorted(level)) for level in kept]
 
 
-# the one monoid on one element, 1 + 1 = 1, as (level, table, arch)
-_ROOT = (1, [0, 1, 1, 1], 1)
+# the one monoid on one element, 1 + 1 = 1, as (level, record)
+_ROOT = (1, bytes([0, 1, 1, 1, 1]))
 
 
-def _run(pairs: list[tuple[bytes, int]]) -> bytes:
-    """(table, arch) pairs sorted and packed into one run of records, each
-    the table's bytes and then its arch byte."""
-    return b"".join(sorted([T + bytes((arch,)) for T, arch in pairs]))
-
-
-def _grow_run(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
-    """_grow(task), with the kept monoids of each level as one sorted run."""
-    counts, kept = _grow(task)
-    return counts, list(map(_run, kept))
-
-
-def _merge_runs(
-    runs_file: BinaryIO, runs: list[tuple[int, int]], size: int
-) -> Iterator[tuple[bytes, int]]:
+def _merge_runs(runs_file: BinaryIO, runs: list[tuple[int, int]], size: int) -> Iterator[bytes]:
     """The records of size bytes in the sorted runs runs_file[start:end],
-    merged into one sorted stream of (table, arch) pairs.  Closes runs_file
-    when drained or dropped, read or not."""
+    merged into one sorted stream.  Closes runs_file when drained or
+    dropped, read or not."""
     import heapq
 
     block = max(1, MERGE_BUFFER // (size * len(runs))) * size
@@ -558,11 +551,10 @@ def _merge_runs(
             for i in range(0, len(data), size):
                 yield data[i : i + size]
 
-    def merged() -> Iterator[tuple[bytes, int]]:
+    def merged() -> Iterator[bytes]:
         with runs_file:
             yield  # started here, inside the with, so closing it closes the file
-            for record in heapq.merge(*(records(start, end) for start, end in runs)):
-                yield record[:-1], record[-1]
+            yield from heapq.merge(*(records(start, end) for start, end in runs))
 
     stream = merged()
     next(stream)
@@ -571,19 +563,18 @@ def _merge_runs(
 
 def _truncation_counts(
     n: int, job_count: int, floor: int | None = None
-) -> tuple[list[dict[int, int]], dict[int, Iterator[tuple[bytes, int]]]]:
+) -> tuple[list[dict[int, int]], dict[int, Iterator[bytes]]]:
     """counts[m][arch] for the monoids on m = 1..n elements (n >= 1), and
-    for each level m = floor..n an iterator of the monoids on m elements as
-    (table, arch) pairs in the order of their table bytes (none without a
-    floor).
+    for each level m = floor..n an iterator of the records of the monoids
+    on m elements, (m + 1)^2 table bytes and then the arch byte, in byte
+    order (none without a floor).
 
     Each kept level has its own temporary file, opened before anything
     grows.  Each task returns its monoids of a level as one sorted run of
-    (m + 1)^2 + 1 byte records, the table and then its arch, and the levels
-    grown here go in as one run each.  The runs are appended to their
-    level's file, and its iterator merges them from it as it is read, so no
-    process holds a whole level.  The table part has a fixed length, so the
-    records' byte order is the pairs' order."""
+    records, and the levels grown here go in as one run each.  The runs are
+    appended to their level's file, and its iterator merges them from it as
+    it is read, so no process holds a whole level.  The table part has a
+    fixed length, so the records' byte order is the tables' order."""
     floor = n + 1 if floor is None else floor
     # tempfile only to keep and multiprocessing only to fork: a spawned
     # pool worker imports this module, and needs neither
@@ -605,24 +596,25 @@ def _truncation_counts(
         split = n - 3 if n >= FORK_N else 1
         # levels 2..split are counted here, the levels above by one task per
         # root, in a pool when min(job_count, tasks, cores) > 1
-        counts, kept = _grow((split, _ROOT, min(floor, split)))
+        counts, level_runs = _grow((split, _ROOT, min(floor, split)))
         counts[1][1] = 1
-        kept[1] = [(bytes(_ROOT[1]), _ROOT[2])]
+        level_runs[1] = _ROOT[1]
         for m in range(floor, split + 1):
-            append(m, _run(kept[m]))
+            append(m, level_runs[m])
         counts += [{} for _ in range(n - split)]
-        roots = kept[split]
+        run, size = level_runs[split], (split + 1) ** 2 + 1
+        roots = [run[i : i + size] for i in range(0, len(run), size)]
         # largest first: a root's cells holding its top element are where its
         # children's m-cells can go, so the run ends on small tasks
-        roots.sort(key=lambda root: -root[0].count(split))
-        tasks = [(n, (split, T, arch), floor) for T, arch in roots]
+        roots.sort(key=lambda root: -root.count(split, 0, -1))
+        tasks = [(n, (split, root), floor) for root in roots]
         workers = min(job_count, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             from multiprocessing import Pool
         with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
             chunk = -(-len(tasks) // (CHUNKS_PER_WORKER * workers))
             mapper = map if pool is None else partial(pool.imap, chunksize=chunk)
-            for part, level_runs in mapper(_grow_run, tasks):
+            for part, level_runs in mapper(_grow, tasks):
                 for tally, part_tally in zip(counts, part):
                     for arch, count in part_tally.items():
                         tally[arch] = tally.get(arch, 0) + count
@@ -640,11 +632,11 @@ def _truncation_counts(
 def _level(
     n: int,
     counts: list[dict[int, int]],
-    kept: Iterable[tuple[bytes | list[int], int | None]],
+    records: Iterable[bytes],
     magma_count: int | None = None,
 ) -> tuple[CensusResult, Iterator[tuple[AdditionTable, int | None]]]:
     """The result of a census of level n, from its counts, and its stream of
-    (table, arch) pairs, each table built from `kept` when it is reached."""
+    (table, arch) pairs, each built from its record when it is reached."""
     by_arch = dict(sorted(counts[n].items()))
     result = CensusResult(
         n=n,
@@ -653,7 +645,7 @@ def _level(
         by_arch=by_arch,
         emitted=None,
     )
-    return result, ((AdditionTable(n, _rows(T, n)), arch) for T, arch in kept)
+    return result, ((AdditionTable(n, _rows(R, n)), R[-1]) for R in records)
 
 
 def stream_tables(
@@ -666,8 +658,9 @@ def stream_tables(
     arch is None for magmas, and the iterator is empty unless config.emit.
     Each table is built only when the iterator reaches it, so a caller
     that reads the stream table by table holds one at a time.  Emitted
-    monoids are merged from a tempfile.TemporaryFile (under TMPDIR) of
-    (n + 1)^2 + 1 bytes per monoid on n elements.  It is opened before the
+    monoids are merged from a tempfile.TemporaryFile (under TMPDIR) of one
+    (n + 1)^2 + 1 byte record per monoid on n elements, its table and then
+    its arch, which arch_filter reads.  It is opened before the
     census grows anything, and it closes when the iterator is drained or
     dropped.
 
@@ -683,12 +676,13 @@ def stream_tables(
     config.check_scale()
     emit_monoids = config.emit and not config.want_magmas
     counts, levels = _truncation_counts(n, config.job_count, floor=n if emit_monoids else None)
-    kept = levels.get(n, ())
-    if emit_monoids:
-        kept = (pair for pair in kept if config.arch_filter in (None, pair[1]))
-    elif config.emit:
-        kept = ((T, None) for T in _magma_walk(n, n * (n + 1) // 2))
-    return _level(n, counts, kept, count_magmas(n) if config.want_magmas else None)
+    records = levels.get(n, ())
+    if config.arch_filter is not None:
+        records = (R for R in records if R[-1] == config.arch_filter)
+    result, tables = _level(n, counts, records, count_magmas(n) if config.want_magmas else None)
+    if config.emit and config.want_magmas:
+        tables = ((AdditionTable(n, _rows(T, n)), None) for T in _magma_walk(n, n * (n + 1) // 2))
+    return result, tables
 
 
 def _stream_levels(

@@ -197,6 +197,14 @@ def _prefixes_by_filter(n, depth):
     return out
 
 
+def _records(run, m):
+    """A run of monoid records on m elements cut into its records, each
+    (m+1)^2 table bytes and then the arch byte."""
+    size = (m + 1) ** 2 + 1
+    assert len(run) % size == 0
+    return [run[i : i + size] for i in range(0, len(run), size)]
+
+
 def _at_depth(depth, fn):
     return fn() if depth == 0 else _at_depth(depth - 1, fn)
 
@@ -208,12 +216,12 @@ class TestWalk:
         # the arch the truncation census gives the same table
         kept = list(census._truncation_counts(n, 1, floor=n)[1][n])
         leaves = [bytes(T) for T in _walk(n, (), _ncells(n), True)]
-        assert leaves == [T for T, _ in kept]
+        assert leaves == [R[:-1] for R in kept]
         checked = 0
-        for T, arch in kept:
-            t = AdditionTable(n, _rows(T, n))
+        for R in kept:
+            t = AdditionTable(n, _rows(R, n))
             assert t.is_monoid
-            assert arch_complexity(t) == arch
+            assert arch_complexity(t) == R[-1]
             checked += 1
         assert checked == len(leaves) == [1, 2, 6, 22, 94, 451, 2386][n - 1]
 
@@ -307,8 +315,10 @@ class TestTruncation:
 
     @staticmethod
     def _children(P, m, p):
-        """(rows, arch) of the children the truncation census grows from P."""
-        return [(_rows(T, m), arch) for T, arch in _grow((m, (m - 1, P, p), m))[1][m]]
+        """(rows, arch) of the children the truncation census grows from the
+        table P of complexity p, in byte order."""
+        run = _grow((m, (m - 1, P + bytes((p,))), m))[1][m]
+        return [(_rows(R, m), R[-1]) for R in _records(run, m)]
 
     # every parent up to m = 8, so each rule of the row DFS (row keys, the
     # empty prefix) and the saturated suffix's untested completion meet the
@@ -320,16 +330,16 @@ class TestTruncation:
             rows = _rows(T, m)
             by_parent.setdefault(_truncate(rows, m), []).append(rows)
         for p, T in _walk_monoids(m - 1):
-            kids = [rows for rows, _ in self._children(list(T), m, p)]
+            kids = [rows for rows, _ in self._children(T, m, p)]
             assert len(set(kids)) == len(kids)
-            assert sorted(kids) == sorted(by_parent.pop(_rows(T, m - 1), []))
+            assert kids == sorted(by_parent.pop(_rows(T, m - 1), []))
         assert not by_parent  # every monoid on m elements has a parent
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_leaf_rule_equals_arch_complexity(self, m):
         seen = 0
         for p, T in _walk_monoids(m - 1):
-            for rows, arch in self._children(list(T), m, p):
+            for rows, arch in self._children(T, m, p):
                 assert arch == arch_complexity(AdditionTable(m, rows))
                 seen += 1
         assert seen == [1, 2, 6, 22, 94, 451, 2386, 13775][m - 1]
@@ -476,7 +486,7 @@ class TestMergedRuns:
     @pytest.mark.parametrize("n, jobs", [(8, 1), (8, 2), (9, 2)])
     def test_stream_equals_level_sorted_in_memory(self, n, jobs):
         streamed = list(census._truncation_counts(n, jobs, floor=n)[1][n])
-        assert streamed == sorted(_grow((n, _ROOT, n))[1][n])
+        assert streamed == sorted(_records(_grow((n, _ROOT, n))[1][n], n))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_stream_closes_its_file(self):
@@ -494,18 +504,22 @@ class TestMergedRuns:
         def refuse():
             raise AssertionError("a counting census opened a temporary file")
 
-        runs = []
-        grow_run = census._grow_run
+        kept_levels, runs = [], []
 
         def record(task):
-            counts, level_runs = grow_run(task)
-            runs.append(b"".join(level_runs))
+            counts, level_runs = _grow(task)
+            if task[1] is _ROOT:
+                # the parent grows levels 2..5 and keeps level 5, its tasks' roots
+                kept_levels.append([m for m, run in enumerate(level_runs) if run])
+            else:
+                runs.append(b"".join(level_runs))
             return counts, level_runs
 
         monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
-        monkeypatch.setattr(census, "_grow_run", record)
+        monkeypatch.setattr(census, "_grow", record)
         assert enumerate_tables(SearchConfig(n=8)).monoid_count == 13775
         assert dm_table(8)[7] == RECORDED_ROWS[8]
+        assert kept_levels == [[5], [5]]
         assert len(runs) == 2 * 94 and set(runs) == {b""}
 
     def test_temp_file_fails_before_anything_grows(self, monkeypatch, capsys, tmp_path):
@@ -557,21 +571,39 @@ class TestAuditCensus:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_audit_grows_one_census(self, monkeypatch, jobs):
         calls = Counter()
-        truncation_counts, grow = census._truncation_counts, census._grow
+        truncation_counts = census._truncation_counts
 
         def counting_census(*args, **kwargs):
             calls["census"] += 1
             return truncation_counts(*args, **kwargs)
 
         def counting_grow(task):
-            # pool tasks on 2 jobs grow in the workers, uncounted here
-            calls["from root"] += task[1] is _ROOT
-            return grow(task)
+            calls["from root" if task[1] is _ROOT else "tasks"] += 1
+            return _grow(task)
+
+        class InProcessPool:
+            # a real pool pickles the function it maps, and counting_grow is
+            # local: this one runs the tasks here
+            def __init__(self, processes):
+                calls["pool"] += 1
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
 
         monkeypatch.setattr(census, "_truncation_counts", counting_census)
         monkeypatch.setattr(census, "_grow", counting_grow)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         assert run_audit(8, jobs=jobs).overall
-        assert calls == {"census": 1, "from root": 1}
+        # one task per monoid on 5 elements, in a pool on 2 jobs
+        expected = {"census": 1, "from root": 1, "tasks": 94}
+        assert calls == (expected if jobs == 1 else {**expected, "pool": 1})
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_audit_closes_every_file(self):
@@ -676,7 +708,7 @@ class TestPartitioning:
 
             def imap(self, fn, tasks, chunksize):
                 chunks.append(chunksize)
-                firsts.append(bytes(tasks[0][1][1]))
+                firsts.append(tasks[0][1][1])
                 return map(fn, tasks)
 
         n = census.FORK_N
@@ -701,9 +733,11 @@ class TestPartitioning:
             pooled = enumerate_tables(SearchConfig(n=n, job_count=10**6))
             assert (sizes, chunks) == (workers, chunk)
             assert pooled == sequential
-        # the root with the most cells at its top element goes first
+        # the root with the most cells at its top element goes first, the
+        # first in byte order among ties, as its record: table, then arch
         top = n - 3
-        assert set(firsts) == {max((T for _, T in _walk_monoids(top)), key=lambda T: T.count(top))}
+        roots = [T + bytes((arch,)) for arch, T in _walk_monoids(top)]
+        assert set(firsts) == {max(roots, key=lambda R: R.count(top, 0, -1))}
 
     def test_magma_emission_starts_no_pool(self, monkeypatch):
         # below FORK_N the truncation census starts no pool either
