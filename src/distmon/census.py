@@ -93,7 +93,9 @@ maps reach_M(r, k) onto reach_P(r, k).  Let p = arch(P).
   one mask per tau, computed once per parent, and a leaf tests it against
   its own m-cells.  Every mask holds a cell at its upper-triangle bit
   (_level_bits), so a cell (s, y) with y < s is tested as X[y][s] =
-  X[s][y].
+  X[s][y].  A leaf reads tau as the row of its mask's lowest bit: an
+  m-cell (x, y), x <= y, is bit x*m + y with x >= tau, and (tau, u_tau) is
+  one.  No bit means no m-cell, and arch p.
 The levels m = 1..n are grown depth-first from an explicit stack of
 records.  A monoid is one record from its growth to its stream: its flat
 table's bytes and then its arch byte.  From n = FORK_N on, each monoid on
@@ -152,10 +154,9 @@ from typing import BinaryIO, Iterable, Iterator
 from .errors import check_scale
 from .table import AdditionTable
 
-# set by measured cost on 2 shared cores (CLI, medians of 3 in each of two
-# sessions): the n = 9 census takes 1.9-2.6 s on one job and 1.3-1.5 s on
-# two, n = 10 7.4-10.3 s on two; magma emission writes 218,348 tables at
-# n = 7, 10,850,216 at 8
+# set by measured cost on 2 shared cores (CLI, medians of 3): the n = 9
+# census takes 1.9-2.6 s on one job and 1.3-1.5 s on two, n = 10 5.0 s on
+# two; magma emission writes 218,348 tables at n = 7, 10,850,216 at 8
 MONOID_GUARD = 9
 MAGMA_GUARD = 7
 # the least n whose census forks: below it 2 workers cost more than they
@@ -387,7 +388,8 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
     against the m-cells so far.  A row with no m-cells so far is not
     tested (empty prefix).  After u[r] <= r + 1, rows r + 1..q are forced
     to u[x] = x, and that completion is a child without a test (saturated
-    suffix).  The module docstring proves each rule.
+    suffix).  A child's tau, its first row with an m-cell, is the row of
+    its mask's lowest bit.  The module docstring proves each rule.
     """
     n, root, floor = task
     counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
@@ -453,12 +455,11 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
                 for c in range(b, m):
                     eqs[c].append((q, bit[b][c] | bq[a]))
         # per row r: threshold u[r] in [max(g[r], r), u[r - 1]] (m: no
-        # m-cells), the m-cells of rows 1..r as X[r], and tau[r], the first
-        # row so far with r + q = m; free[tau] is computed on first use
+        # m-cells) and the m-cells of rows 1..r as X[r]; free[tau] is
+        # computed on first use
         free = [-1] * m
         u = [m] * m
         X = [0] * m
-        tau = [0] * m
         r = 1
         t = g[1]
         while r:
@@ -472,12 +473,10 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
                     break
             else:
                 u[r] = t
-                tr = tau[r - 1] or (r if t < m else 0)
                 if r < q:
                     s = r + 1
                     if t > s:
                         X[r] = mask
-                        tau[r] = tr
                         r = s
                         t = g[s] if g[s] > s else s
                         continue
@@ -487,28 +486,26 @@ def _grow(task: tuple) -> tuple[list[dict[int, int]], list[bytes]]:
                     mask |= tail[s]
                 # a child: its complexity is p + 1 iff some cell (s, y) with
                 # s < q in reach_P(tau, p - 1), y >= tau and P[s][y] = q is
-                # not an m-cell; for p = 1 the cell (0, q), never an m-cell,
-                # stands for s = 0
+                # not an m-cell; reach_P(tau, 0) = {0} and g[0] = q, so p = 1
+                # tests the cell (0, q), never an m-cell
                 arch = p
-                if tr:
-                    cells = free[tr]
+                if mask:
+                    tau = ((mask & -mask).bit_length() - 1) // m
+                    cells = free[tau]
                     if cells < 0:
-                        if p == 1:
-                            cells = span[0][q]
-                        else:
-                            reach = set(range(tr, m))
-                            for _ in range(p - 2):
-                                acc = set()
-                                for x in reach:
-                                    acc.update(P[x * m + tr : x * m + m])
-                                if acc == reach:
-                                    break
-                                reach = acc
-                            cells = 0
+                        reach = {0}
+                        for _ in range(p - 1):
+                            acc = set()
                             for x in reach:
-                                if x < q:
-                                    cells |= span[x][g[x] if g[x] > tr else tr]
-                        free[tr] = cells
+                                acc.update(P[x * m + tau : x * m + m])
+                            if acc == reach:
+                                break
+                            reach = acc
+                        cells = 0
+                        for x in reach:
+                            if x < q:
+                                cells |= span[x][g[x] if g[x] > tau else tau]
+                        free[tau] = cells
                     if cells & ~mask:
                         arch = p + 1
                 tally[arch] = tally.get(arch, 0) + 1

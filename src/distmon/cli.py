@@ -251,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all magmas/monoids of size n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--magmas", action="store_true", help="also count every magma")
-    p.add_argument("--arch", type=int, default=None, help="restrict emission/count to one complexity")
+    p.add_argument(
+        "--arch", type=int, default=None, help="restrict only --emit and --count-only to one complexity"
+    )
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="DIR", default=None, help="write every table as a JSON file")
     p.add_argument(

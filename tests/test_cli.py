@@ -107,6 +107,14 @@ class TestCensus:
         assert code == 0
         assert out.strip() == "8"
 
+    def test_arch_alone_prints_every_complexity(self, capsys):
+        # --arch restricts --emit and --count-only only: without either, the
+        # census prints the same JSON as without --arch
+        code, out, err = run(capsys, "census", "--n", "4", "--arch", "2")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "census", "--n", "4")[1]
+        assert json.loads(out)["by_arch"] == {"1": "1", "2": "14", "3": "6", "4": "1"}
+
     def test_jobs_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "census", "--n", "5")
         _, out4, _ = run(capsys, "census", "--n", "5", "--jobs", "4")
